@@ -6,7 +6,7 @@ topology-aware segmentation metrics, and a deterministic desk-scale
 teacher-student simulator.
 """
 
-from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, persistence_of, total_persistence
+from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, total_persistence
 from .grid import (
     SUBLEVEL,
     SUPERLEVEL,
@@ -30,8 +30,6 @@ from .losses import (
     dice_loss,
     finite_difference_check,
     supervised_loss,
-    topo_consistency_gradient,
-    topo_consistency_loss,
     topo_loss_and_gradient,
 )
 from .matching import DIAGONAL, DiagramMatching, match_diagrams
@@ -42,7 +40,6 @@ from .persistence import (
     betti_curve,
     compute_diagram,
     load_diagram_csv,
-    oracle_diagram,
     save_diagram_csv,
 )
 from .trainer import (
@@ -65,9 +62,8 @@ __all__ = [
     "as_likelihood", "as_mask", "betti_curve", "betti_error", "betti_matching_error",
     "compute_diagram", "compute_metrics", "cross_entropy_loss", "decompose", "dice_loss",
     "ema_update", "finite_difference_check", "label_components", "likelihood_to_logits",
-    "load_diagram_csv", "load_grid", "load_mask_pgm", "match_diagrams", "oracle_diagram",
-    "persistence_of", "ramp_up_weight", "run_simulation", "save_diagram_csv",
-    "save_grid_csv", "save_grid_pgm", "save_mask_pgm", "supervised_loss", "threshold",
-    "topo_consistency_gradient", "topo_consistency_loss", "topo_loss_and_gradient",
-    "total_persistence", "variation_of_information", "write_trace_csv",
+    "load_diagram_csv", "load_grid", "load_mask_pgm", "match_diagrams", "ramp_up_weight",
+    "run_simulation", "save_diagram_csv", "save_grid_csv", "save_grid_pgm", "save_mask_pgm",
+    "supervised_loss", "threshold", "topo_loss_and_gradient", "total_persistence",
+    "variation_of_information", "write_trace_csv",
 ]

@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .diagram import DEFAULT_PHI, decompose
 from .grid import (
     DIRECTIONS,
@@ -37,7 +35,7 @@ from .losses import (
 )
 from .matching import match_diagrams
 from .metrics import DEFAULT_WINDOW, compute_metrics
-from .persistence import compute_diagram, load_diagram_csv, save_diagram_csv
+from .persistence import compute_diagram, format_diagram_csv, load_diagram_csv, save_diagram_csv
 from .scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
 from .trainer import (
     LabeledSupervision,
@@ -66,19 +64,6 @@ def _emit_json(items: list[tuple[str, object]]) -> None:
     print(json.dumps(obj))
 
 
-def _write_or_print_diagram(diagram, path: str | None) -> None:
-    if path is None:
-        from .persistence import DIAGRAM_CSV_HEADER
-
-        print(",".join(DIAGRAM_CSV_HEADER))
-        for dot in diagram.dots:
-            dpx = "" if dot.death_pixel is None else str(dot.death_pixel)
-            print(f"{format_real(dot.birth)},{format_real(dot.death)},"
-                  f"{dot.birth_pixel},{dpx},{1 if dot.essential else 0}")
-    else:
-        save_diagram_csv(diagram, path)
-
-
 def _parse_order(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
@@ -94,7 +79,10 @@ def _parse_order(text: str) -> float:
 def _cmd_pd(args) -> int:
     grid = load_grid(args.grid, args.format)
     diagram = compute_diagram(grid, args.direction, args.connectivity)
-    _write_or_print_diagram(diagram, args.output)
+    if args.output is None:
+        sys.stdout.write(format_diagram_csv(diagram))
+    else:
+        save_diagram_csv(diagram, args.output)
     return 0
 
 

@@ -1,10 +1,10 @@
-"""Diagram-level operations: persistence, signal/noise split, total persistence."""
+"""Diagram-level operations: signal/noise split and total persistence."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .persistence import PersistenceDiagram, PersistentDot
+from .persistence import PersistenceDiagram
 
 DEFAULT_PHI = 0.7
 
@@ -22,22 +22,13 @@ class DecomposedDiagram:
     phi: float
 
 
-def persistence_of(dot: PersistentDot) -> float:
-    """Life span of a dot, always nonnegative."""
-    return dot.persistence
-
-
 def decompose(diagram: PersistenceDiagram, phi: float = DEFAULT_PHI) -> DecomposedDiagram:
     phi = float(phi)
     if phi < 0.0:
         raise ValueError(f"persistence threshold must be nonnegative, got {phi}")
     signal = tuple(d for d in diagram.dots if d.persistence > phi)
     noise = tuple(d for d in diagram.dots if d.persistence <= phi)
-    return DecomposedDiagram(
-        PersistenceDiagram(signal, diagram.height, diagram.width),
-        PersistenceDiagram(noise, diagram.height, diagram.width),
-        phi,
-    )
+    return DecomposedDiagram(PersistenceDiagram(signal), PersistenceDiagram(noise), phi)
 
 
 def total_persistence(diagram: PersistenceDiagram, p: float = 1.0) -> float:

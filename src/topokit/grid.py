@@ -205,18 +205,22 @@ def save_grid_csv(grid, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_grid_pgm(grid, path, maxval: int = 65535) -> None:
-    """Write an ascii (P2) PGM, quantizing values to round(v * maxval)."""
-    grid = as_likelihood(grid)
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
-    samples = np.rint(grid * maxval).astype(np.int64).clip(0, maxval)
-    h, w = grid.shape
+def _write_p2(samples: np.ndarray, path, maxval: int) -> None:
+    """Write a 2D integer sample array as an ascii (P2) PGM, 16 samples per line."""
+    h, w = samples.shape
     out = [f"P2\n{w} {h}\n{maxval}"]
     flat = samples.ravel()
     for start in range(0, flat.size, 16):
         out.append(" ".join(str(int(v)) for v in flat[start:start + 16]))
     Path(path).write_text("\n".join(out) + "\n")
+
+
+def save_grid_pgm(grid, path, maxval: int = 65535) -> None:
+    """Write an ascii (P2) PGM, quantizing values to round(v * maxval)."""
+    grid = as_likelihood(grid)
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval {maxval} outside [1, 65535]")
+    _write_p2(np.rint(grid * maxval).astype(np.int64).clip(0, maxval), path, maxval)
 
 
 def load_mask_pgm(path) -> np.ndarray:
@@ -226,10 +230,4 @@ def load_mask_pgm(path) -> np.ndarray:
 
 
 def save_mask_pgm(mask, path, maxval: int = 255) -> None:
-    mask = as_mask(mask)
-    h, w = mask.shape
-    out = [f"P2\n{w} {h}\n{maxval}"]
-    flat = np.where(mask.ravel(), maxval, 0)
-    for start in range(0, flat.size, 16):
-        out.append(" ".join(str(int(v)) for v in flat[start:start + 16]))
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_p2(np.where(as_mask(mask), maxval, 0), path, maxval)

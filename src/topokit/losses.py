@@ -154,20 +154,6 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
     return report, grad
 
 
-def topo_consistency_loss(student, teacher, phi: float = DEFAULT_PHI,
-                          direction: str = SUBLEVEL, connectivity: int = 4,
-                          noise_mode: str = NOISE_SQUARED) -> TopoLossReport:
-    report, _ = topo_loss_and_gradient(student, teacher, phi, direction, connectivity, noise_mode)
-    return report
-
-
-def topo_consistency_gradient(student, teacher, phi: float = DEFAULT_PHI,
-                              direction: str = SUBLEVEL, connectivity: int = 4,
-                              noise_mode: str = NOISE_SQUARED) -> np.ndarray:
-    _, grad = topo_loss_and_gradient(student, teacher, phi, direction, connectivity, noise_mode)
-    return grad
-
-
 def finite_difference_check(student, teacher, phi: float = DEFAULT_PHI,
                             h: float = 1e-5, direction: str = SUBLEVEL,
                             connectivity: int = 4,

@@ -20,19 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from .grid import (
-    DIRECTIONS,
-    SUBLEVEL,
-    SUPERLEVEL,
-    _STRUCTURE,
-    GridFormatError,
-    as_likelihood,
-    format_real,
-)
-
-ORACLE_PIXEL_LIMIT = 400
+from .grid import DIRECTIONS, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood, format_real
 
 DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
 
@@ -42,38 +31,34 @@ class PersistentDot:
     """One connected-component feature: birth/death values and critical pixels.
 
     birth_pixel is the component's minimum; death_pixel is the pixel whose
-    insertion merged it away (absent for the essential dot). The grid value
-    at each critical pixel equals the stored birth/death exactly.
+    insertion merged it away. A dot is essential exactly when it has no
+    death pixel. The grid value at each critical pixel equals the stored
+    birth/death exactly.
     """
 
     birth: float
     death: float
     birth_pixel: int
     death_pixel: int | None = None
-    essential: bool = False
+
+    @property
+    def essential(self) -> bool:
+        return self.death_pixel is None
 
     @property
     def persistence(self) -> float:
         """Life span |death - birth| (death - birth for sublevel diagrams)."""
         return abs(self.death - self.birth)
 
-    def pair(self) -> tuple[float, float]:
-        return (self.birth, self.death)
-
 
 @dataclass(frozen=True)
 class PersistenceDiagram:
-    """Dots plus the source grid dimensions (0 x 0 when loaded from CSV)."""
+    """Dots in emission order; compute_diagram puts the essential dot last."""
 
     dots: tuple[PersistentDot, ...]
-    height: int
-    width: int
 
     def __len__(self) -> int:
         return len(self.dots)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [d.pair() for d in self.dots]
 
     @property
     def essential_dot(self) -> PersistentDot | None:
@@ -154,8 +139,8 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
 
     ess_px = order[0]  # global minimum under the tie-broken order never dies
     ess_death = 0.0 if direction == SUPERLEVEL else 1.0
-    dots.append(PersistentDot(flat_l[ess_px], ess_death, ess_px, None, essential=True))
-    return PersistenceDiagram(tuple(dots), h, w)
+    dots.append(PersistentDot(flat_l[ess_px], ess_death, ess_px))
+    return PersistenceDiagram(tuple(dots))
 
 
 def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
@@ -175,53 +160,12 @@ def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
     return count
 
 
-def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
-    """Slow reference diagram via from-scratch relabeling (sublevel only).
-
-    Replays the tie-broken filtration one pixel at a time, recomputing
-    connected components of the inserted set with scipy labeling at every
-    step and reading off birth and merge events. Independent of the
-    union-find implementation; guarded to grids of at most 400 pixels.
-    """
-    values = as_likelihood(grid)
-    if values.size > ORACLE_PIXEL_LIMIT:
-        raise ValueError(f"oracle limited to {ORACLE_PIXEL_LIMIT} pixels, got {values.size}")
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    structure = _STRUCTURE[connectivity]
-    h, w = values.shape
-    flat = values.ravel()
-    order = np.argsort(flat, kind="stable").tolist()
-    mask = np.zeros((h, w), dtype=bool)
-    comps: dict[int, float] = {}  # birth pixel -> birth value
-    dots: list[PersistentDot] = []
-
-    for px in order:
-        mask.flat[px] = True
-        labeled, _ = ndimage.label(mask, structure=structure)
-        lab = labeled.ravel()
-        groups: dict[int, list[int]] = {}
-        for bp in comps:
-            groups.setdefault(int(lab[bp]), []).append(bp)
-        for members in (m for _, m in sorted(groups.items()) if len(m) > 1):
-            elder = min(members, key=lambda bp: (comps[bp], bp))
-            for bp in members:
-                if bp != elder:
-                    dots.append(PersistentDot(comps[bp], float(flat[px]), bp, px))
-                    del comps[bp]
-        if int(lab[px]) not in groups:
-            comps[px] = float(flat[px])
-
-    (ess_px, ess_birth), = comps.items()
-    dots.append(PersistentDot(ess_birth, 1.0, ess_px, None, essential=True))
-    return PersistenceDiagram(tuple(dots), h, w)
-
-
 # ---------------------------------------------------------------------------
 # diagram CSV: birth,death,birth_px,death_px,essential
 # ---------------------------------------------------------------------------
 
-def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
+def format_diagram_csv(diagram: PersistenceDiagram) -> str:
+    """The diagram as CSV text: header line, then one row per dot."""
     lines = [",".join(DIAGRAM_CSV_HEADER)]
     for dot in diagram.dots:
         death_px = "" if dot.death_pixel is None else str(dot.death_pixel)
@@ -229,11 +173,15 @@ def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
             f"{format_real(dot.birth)},{format_real(dot.death)},"
             f"{dot.birth_pixel},{death_px},{1 if dot.essential else 0}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
+    Path(path).write_text(format_diagram_csv(diagram))
 
 
 def load_diagram_csv(path) -> PersistenceDiagram:
-    """Read a diagram CSV; source dimensions are not stored, so they load as 0."""
+    """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative."""
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -247,10 +195,16 @@ def load_diagram_csv(path) -> PersistenceDiagram:
             birth, death = float(row[0]), float(row[1])
             birth_px = int(row[2])
             death_px = None if row[3] == "" else int(row[3])
-            essential = bool(int(row[4]))
+            essential = int(row[4])
         except ValueError:
             raise GridFormatError(f"{path}: line {ln}: unparseable diagram row") from None
+        if not (0.0 <= birth <= 1.0 and 0.0 <= death <= 1.0):  # also false for NaN
+            raise GridFormatError(f"{path}: line {ln}: birth/death outside [0, 1]")
+        if birth_px < 0 or (death_px is not None and death_px < 0):
+            raise GridFormatError(f"{path}: line {ln}: negative pixel index")
+        if essential not in (0, 1):
+            raise GridFormatError(f"{path}: line {ln}: essential must be 0 or 1, got {row[4]!r}")
         if essential != (death_px is None):
             raise GridFormatError(f"{path}: line {ln}: essential flag and death_px disagree")
-        dots.append(PersistentDot(birth, death, birth_px, death_px, essential))
-    return PersistenceDiagram(tuple(dots), 0, 0)
+        dots.append(PersistentDot(birth, death, birth_px, death_px))
+    return PersistenceDiagram(tuple(dots))

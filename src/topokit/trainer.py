@@ -31,7 +31,6 @@ from .losses import (
     cross_entropy_gradient,
     cross_entropy_loss,
     supervised_gradient,
-    supervised_loss,
     topo_loss_and_gradient,
 )
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded grids and brute-force matching oracles."""
+"""Shared test helpers: seeded grids, the replay diagram oracle and brute-force matching oracles."""
 
 from __future__ import annotations
 
@@ -6,8 +6,12 @@ import itertools
 import math
 
 import numpy as np
+from scipy import ndimage
 
+from topokit.grid import as_likelihood
 from topokit.persistence import PersistenceDiagram, PersistentDot
+
+ORACLE_PIXEL_LIMIT = 400
 
 
 def random_distinct_grid(rng, height: int, width: int,
@@ -23,16 +27,57 @@ def random_distinct_grid(rng, height: int, width: int,
     return rng.permutation(values).reshape(height, width)
 
 
+def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
+    """Slow reference diagram via from-scratch relabeling (sublevel only).
+
+    Replays the tie-broken filtration one pixel at a time, recomputing
+    connected components of the inserted set with scipy labeling at every
+    step and reading off birth and merge events. Independent of the
+    union-find implementation; guarded to grids of at most 400 pixels.
+    """
+    values = as_likelihood(grid)
+    if values.size > ORACLE_PIXEL_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_PIXEL_LIMIT} pixels, got {values.size}")
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    h, w = values.shape
+    flat = values.ravel()
+    order = np.argsort(flat, kind="stable").tolist()
+    mask = np.zeros((h, w), dtype=bool)
+    comps: dict[int, float] = {}  # birth pixel -> birth value
+    dots: list[PersistentDot] = []
+
+    for px in order:
+        mask.flat[px] = True
+        labeled, _ = ndimage.label(mask, structure=structure)
+        lab = labeled.ravel()
+        groups: dict[int, list[int]] = {}
+        for bp in comps:
+            groups.setdefault(int(lab[bp]), []).append(bp)
+        for members in (m for _, m in sorted(groups.items()) if len(m) > 1):
+            elder = min(members, key=lambda bp: (comps[bp], bp))
+            for bp in members:
+                if bp != elder:
+                    dots.append(PersistentDot(comps[bp], float(flat[px]), bp, px))
+                    del comps[bp]
+        if int(lab[px]) not in groups:
+            comps[px] = float(flat[px])
+
+    (ess_px, ess_birth), = comps.items()
+    dots.append(PersistentDot(ess_birth, 1.0, ess_px))
+    return PersistenceDiagram(tuple(dots))
+
+
 def diagram_from_pairs(pairs, essential_index: int | None = None) -> PersistenceDiagram:
     """Wrap bare (birth, death) pairs in a diagram with dummy pixel indices."""
     dots = []
     for i, (b, d) in enumerate(pairs):
-        essential = i == essential_index
         dots.append(PersistentDot(
             birth=float(b), death=float(d), birth_pixel=i,
-            death_pixel=None if essential else 1000 + i, essential=essential,
+            death_pixel=None if i == essential_index else 1000 + i,
         ))
-    return PersistenceDiagram(dots=tuple(dots), height=0, width=0)
+    return PersistenceDiagram(dots=tuple(dots))
 
 
 def random_diagram_pairs(rng, max_dots: int = 4):

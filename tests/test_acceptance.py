@@ -19,7 +19,7 @@ from topokit.metrics import (
     betti_matching_error,
     variation_of_information,
 )
-from topokit.persistence import betti_curve, compute_diagram, oracle_diagram
+from topokit.persistence import betti_curve, compute_diagram
 from topokit.scenarios import (
     noise_removal_grid,
     perturbed_student_logits,
@@ -36,6 +36,7 @@ from _support import (
     brute_bottleneck,
     brute_wasserstein,
     diagram_from_pairs,
+    oracle_diagram,
     random_diagram_pairs,
 )
 

@@ -87,6 +87,17 @@ class TestPd:
         assert len(diagram.dots) == 2
         assert diagram.essential_dot.birth == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("direction,connectivity", [("sublevel", "4"), ("superlevel", "8")])
+    def test_stdout_and_file_bytes_identical(self, capsys, tmp_path, direction, connectivity):
+        grid = tmp_path / "grid.csv"
+        save_grid_csv(random_distinct_grid(np.random.default_rng(5), 7, 9), grid)
+        flags = ["--direction", direction, "--connectivity", connectivity]
+        code, out, _ = run_cli(capsys, "pd", str(grid), *flags)
+        assert code == 0
+        out_path = tmp_path / "diagram.csv"
+        run_cli(capsys, "pd", str(grid), *flags, "-o", str(out_path))
+        assert out_path.read_bytes() == out.encode()
+
     def test_missing_file_returns_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "pd", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -144,6 +155,17 @@ class TestWasserstein:
         code, _, err = run_cli(capsys, "wasserstein", str(diagram), str(diagram), "--p", p)
         assert code == 1
         assert "p" in err
+
+    @pytest.mark.parametrize("bad_row", ["nan,0.9,0,1,0", "0.1,inf,0,1,0"])
+    def test_non_finite_diagram_returns_two(self, capsys, tmp_path, quad_grid, bad_row):
+        good = tmp_path / "d.csv"
+        run_cli(capsys, "pd", quad_grid, "-o", str(good))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"birth,death,birth_px,death_px,essential\n{bad_row}\n")
+        code, out, err = run_cli(capsys, "wasserstein", str(bad), str(good), "--p", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_diagram_returns_two(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from topokit.diagram import decompose, persistence_of, total_persistence
+from topokit.diagram import decompose, total_persistence
 from topokit.persistence import PersistentDot
 
 from _support import diagram_from_pairs
@@ -17,21 +17,22 @@ def make_diagram():
 
 class TestPersistenceOf:
     def test_plain_dot(self):
-        assert persistence_of(PersistentDot(0.2, 0.9, 0)) == pytest.approx(0.7)
+        assert PersistentDot(0.2, 0.9, 0, 1).persistence == pytest.approx(0.7)
 
     def test_diagonal_dot(self):
-        assert persistence_of(PersistentDot(0.5, 0.5, 0)) == 0.0
+        assert PersistentDot(0.5, 0.5, 0, 1).persistence == 0.0
 
     def test_essential_dot(self):
-        dot = PersistentDot(0.1, 1.0, 0, None, essential=True)
-        assert persistence_of(dot) == pytest.approx(0.9)
+        dot = PersistentDot(0.1, 1.0, 0)
+        assert dot.essential
+        assert dot.persistence == pytest.approx(0.9)
 
 
 class TestDecompose:
     def test_worked_example(self):
         dec = decompose(make_diagram(), 0.2)
-        assert [d.pair() for d in dec.signal.dots] == [(0.1, 1.0), (0.2, 0.9)]
-        assert [d.pair() for d in dec.noise.dots] == [(0.4, 0.45)]
+        assert [(d.birth, d.death) for d in dec.signal.dots] == [(0.1, 1.0), (0.2, 0.9)]
+        assert [(d.birth, d.death) for d in dec.noise.dots] == [(0.4, 0.45)]
         assert dec.phi == 0.2
 
     def test_partition_is_exact(self):
@@ -42,8 +43,8 @@ class TestDecompose:
 
     def test_phi_zero_noise_only_zero_persistence(self):
         dec = decompose(diagram_from_pairs([(0.3, 0.3), (0.2, 0.8)]), 0.0)
-        assert [d.pair() for d in dec.noise.dots] == [(0.3, 0.3)]
-        assert [d.pair() for d in dec.signal.dots] == [(0.2, 0.8)]
+        assert [(d.birth, d.death) for d in dec.noise.dots] == [(0.3, 0.3)]
+        assert [(d.birth, d.death) for d in dec.signal.dots] == [(0.2, 0.8)]
 
     def test_phi_one_signal_empty(self):
         dec = decompose(make_diagram(), 1.0)
@@ -65,7 +66,7 @@ class TestDecompose:
         )
         prev = None
         for phi in (0.0, 0.05, 0.3, 0.5, 0.9):
-            signal = {d.pair() for d in decompose(diagram, phi).signal.dots}
+            signal = {(d.birth, d.death) for d in decompose(diagram, phi).signal.dots}
             if prev is not None:
                 assert signal <= prev
             prev = signal

@@ -16,8 +16,6 @@ from topokit.losses import (
     finite_difference_check,
     supervised_gradient,
     supervised_loss,
-    topo_consistency_gradient,
-    topo_consistency_loss,
     topo_loss_and_gradient,
 )
 
@@ -112,67 +110,61 @@ class TestTopoConsistency:
     def test_matched_dot_example(self):
         student = [[0.3, 0.8, 0.1]]
         teacher = [[0.2, 0.9, 0.1]]
-        report = topo_consistency_loss(student, teacher, phi=0.2)
+        report, grad = topo_loss_and_gradient(student, teacher, phi=0.2)
         assert report.cons_loss == pytest.approx(0.02, abs=1e-15)
         assert report.rem_loss == 0.0
         assert report.topo_loss == pytest.approx(0.02, abs=1e-15)
-        grad = topo_consistency_gradient(student, teacher, phi=0.2)
         assert grad.tolist() == [pytest.approx([0.2, -0.2, 0.0], abs=1e-15)]
 
     def test_diagonal_match_example(self):
         student = [[0.4, 0.9, 0.1]]
         teacher = [[0.1, 0.1, 0.1]]
-        report = topo_consistency_loss(student, teacher, phi=0.45)
+        report, grad = topo_loss_and_gradient(student, teacher, phi=0.45)
         assert report.cons_loss == pytest.approx(0.125, abs=1e-15)
-        grad = topo_consistency_gradient(student, teacher, phi=0.45)
         assert grad.tolist() == [pytest.approx([-0.5, 0.5, 0.0], abs=1e-15)]
 
     def test_noise_removal_example(self):
         grid = [[0.4, 0.45, 0.1]]
-        report = topo_consistency_loss(grid, grid, phi=0.2)
+        report, grad = topo_loss_and_gradient(grid, grid, phi=0.2)
         assert report.rem_loss == pytest.approx(0.3625, abs=1e-15)
         assert report.cons_loss == 0.0
-        grad = topo_consistency_gradient(grid, grid, phi=0.2)
         assert grad.tolist() == [pytest.approx([0.8, 0.9, 0.0], abs=1e-15)]
 
     def test_noise_diagonal_mode(self):
         grid = [[0.4, 0.45, 0.1]]
-        report = topo_consistency_loss(grid, grid, phi=0.2, noise_mode=NOISE_DIAGONAL)
+        report, grad = topo_loss_and_gradient(grid, grid, phi=0.2, noise_mode=NOISE_DIAGONAL)
         assert report.rem_loss == pytest.approx(0.5 * 0.05**2, abs=1e-15)
-        grad = topo_consistency_gradient(grid, grid, phi=0.2, noise_mode=NOISE_DIAGONAL)
         assert grad.tolist() == [pytest.approx([-0.05, 0.05, 0.0], abs=1e-12)]
 
     def test_essential_noise_contributes_birth_only(self):
         grid = [[0.4, 0.45, 0.1]]
-        report = topo_consistency_loss(grid, grid, phi=1.0)
+        report, grad = topo_loss_and_gradient(grid, grid, phi=1.0)
         # every dot is noise at phi=1; essential adds only birth^2 = 0.01
         assert report.rem_loss == pytest.approx(0.4**2 + 0.45**2 + 0.1**2, abs=1e-15)
-        grad = topo_consistency_gradient(grid, grid, phi=1.0)
         assert grad[0, 2] == pytest.approx(0.2, abs=1e-15)
 
     def test_essential_noise_diagonal_mode_uses_constant_death(self):
         grid = [[0.4, 0.45, 0.1]]
-        report = topo_consistency_loss(grid, grid, phi=1.0, noise_mode=NOISE_DIAGONAL)
+        report, grad = topo_loss_and_gradient(grid, grid, phi=1.0, noise_mode=NOISE_DIAGONAL)
         expected = 0.5 * (0.05**2 + 0.9**2)
         assert report.rem_loss == pytest.approx(expected, abs=1e-15)
-        grad = topo_consistency_gradient(grid, grid, phi=1.0, noise_mode=NOISE_DIAGONAL)
         assert grad[0, 2] == pytest.approx(-0.9, abs=1e-15)
 
     def test_identity_has_zero_cons_and_gradient(self):
         rng = np.random.default_rng(11)
         grid = random_distinct_grid(rng, 5, 5)
-        report = topo_consistency_loss(grid, grid, phi=0.0)
+        report, grad = topo_loss_and_gradient(grid, grid, phi=0.0)
         assert report.cons_loss == 0.0
         assert report.rem_loss == 0.0  # phi=0 and distinct values: no noise dots
-        assert not topo_consistency_gradient(grid, grid, phi=0.0).any()
+        assert not grad.any()
 
     def test_unmatched_teacher_dot_costs_but_no_gradient(self):
         student = [[0.1, 0.1, 0.1]]          # essential only
         teacher = [[0.1, 0.9, 0.2]]          # essential + one extra signal dot
-        report = topo_consistency_loss(student, teacher, phi=0.5)
+        report, grad = topo_loss_and_gradient(student, teacher, phi=0.5)
         assert report.cons_loss == 0.0
         assert report.matching.cost > 0.0
-        assert not topo_consistency_gradient(student, teacher, phi=0.5).any()
+        assert not grad.any()
 
     def test_gradient_support_at_critical_pixels_only(self):
         rng = np.random.default_rng(13)
@@ -194,7 +186,7 @@ class TestTopoConsistency:
         for _ in range(10):
             student = rng.uniform(0.0, 1.0, (5, 5))
             teacher = rng.uniform(0.0, 1.0, (5, 5))
-            report = topo_consistency_loss(student, teacher)
+            report, _ = topo_loss_and_gradient(student, teacher)
             assert report.cons_loss >= 0.0
             assert report.rem_loss >= 0.0
             assert report.topo_loss == pytest.approx(
@@ -203,11 +195,11 @@ class TestTopoConsistency:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            topo_consistency_loss([[0.1, 0.2]], [[0.1], [0.2]])
+            topo_loss_and_gradient([[0.1, 0.2]], [[0.1], [0.2]])
 
     def test_bad_noise_mode_rejected(self):
         with pytest.raises(ValueError):
-            topo_consistency_loss([[0.1, 0.2]], [[0.1, 0.2]], noise_mode="melt")
+            topo_loss_and_gradient([[0.1, 0.2]], [[0.1, 0.2]], noise_mode="melt")
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
@@ -215,7 +207,7 @@ class TestTopoConsistency:
         rng = np.random.default_rng(seed)
         student = rng.uniform(0.0, 1.0, (4, 4))
         teacher = rng.uniform(0.0, 1.0, (4, 4))
-        report = topo_consistency_loss(student, teacher, phi=float(rng.uniform(0, 1)))
+        report, _ = topo_loss_and_gradient(student, teacher, phi=float(rng.uniform(0, 1)))
         assert report.topo_loss >= 0.0
 
 

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topokit.grid import SUBLEVEL, SUPERLEVEL, label_components, threshold
+from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, label_components, threshold
 from topokit.persistence import (
-    ORACLE_PIXEL_LIMIT,
+    PersistenceDiagram,
     PersistentDot,
     betti_curve,
     compute_diagram,
     load_diagram_csv,
-    oracle_diagram,
     save_diagram_csv,
 )
 
-from _support import random_distinct_grid
+from _support import ORACLE_PIXEL_LIMIT, oracle_diagram, random_distinct_grid
 
 
 def dot_tuples(diagram):
@@ -246,4 +245,21 @@ class TestDiagramCsv:
         path = tmp_path / "dgm.csv"
         path.write_text("birth,death,birth_px,death_px,essential\n0.1,0.9,0,,0\n")
         with pytest.raises(ValueError):
+            load_diagram_csv(path)
+
+    def test_dot_without_death_pixel_is_essential_and_round_trips(self, tmp_path):
+        dot = PersistentDot(0.25, 1.0, 3)
+        assert dot.essential
+        path = tmp_path / "dgm.csv"
+        save_diagram_csv(PersistenceDiagram((dot,)), path)
+        assert load_diagram_csv(path).dots == (dot,)
+
+    @pytest.mark.parametrize("row", [
+        "nan,0.9,0,1,0", "0.1,inf,0,1,0", "-inf,0.9,0,1,0", "-0.1,0.9,0,1,0",
+        "0.1,1.5,0,1,0", "0.1,0.9,-1,1,0", "0.1,0.9,0,-2,0", "0.1,1,0,,2",
+    ])
+    def test_rejects_invalid_values(self, tmp_path, row):
+        path = tmp_path / "dgm.csv"
+        path.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n")
+        with pytest.raises(GridFormatError, match="line 2"):
             load_diagram_csv(path)
