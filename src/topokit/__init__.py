@@ -4,6 +4,10 @@ Persistence diagrams of threshold filtrations, exact diagram matching,
 differentiable topological consistency and noise-removal losses,
 topology-aware segmentation metrics, and a deterministic desk-scale
 teacher-student simulator.
+
+scipy is imported inside the functions that call it, never at module
+level, so importing the package (or running ``topokit pd``) loads numpy
+only.
 """
 
 from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, total_persistence

@@ -131,6 +131,8 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if not math.isfinite(args.tolerance):
+        raise ValueError(f"tolerance must be finite, got {args.tolerance}")
     student = load_grid(args.student, args.format)
     teacher = load_grid(args.teacher, args.format)
     err = finite_difference_check(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .persistence import PersistenceDiagram
@@ -24,8 +25,8 @@ class DecomposedDiagram:
 
 def decompose(diagram: PersistenceDiagram, phi: float = DEFAULT_PHI) -> DecomposedDiagram:
     phi = float(phi)
-    if phi < 0.0:
-        raise ValueError(f"persistence threshold must be nonnegative, got {phi}")
+    if not 0.0 <= phi < math.inf:
+        raise ValueError(f"persistence threshold must be finite and nonnegative, got {phi}")
     signal = tuple(d for d in diagram.dots if d.persistence > phi)
     noise = tuple(d for d in diagram.dots if d.persistence <= phi)
     return DecomposedDiagram(PersistenceDiagram(signal), PersistenceDiagram(noise), phi)

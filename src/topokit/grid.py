@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 SUBLEVEL = "sublevel"
 SUPERLEVEL = "superlevel"
@@ -80,6 +79,8 @@ def threshold(grid, c: float, direction: str = SUBLEVEL) -> np.ndarray:
 
 def label_components(mask, connectivity: int = 4) -> ComponentLabeling:
     """4- or 8-connected components of the foreground, raster-ordered labels."""
+    from scipy import ndimage
+
     mask = as_mask(mask)
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")

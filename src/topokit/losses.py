@@ -169,7 +169,7 @@ def finite_difference_check(student, teacher, phi: float = DEFAULT_PHI,
     t = as_likelihood(teacher)
     _check_same_shape(s, t)
     h = float(h)
-    if h <= 0.0:
+    if not h > 0.0:  # also rejects NaN, which would pass every check below
         raise ValueError(f"step h must be positive, got {h}")
     uniq = np.unique(s.ravel())
     min_gap = float(np.diff(uniq).min()) if uniq.size > 1 else np.inf

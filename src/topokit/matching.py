@@ -21,9 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .persistence import PersistenceDiagram
 
@@ -52,6 +49,11 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
         raise ValueError(f"order p must be >= 1 (math.inf for bottleneck), got {p}")
     lpts = np.array([[d.birth, d.death] for d in left.dots], dtype=np.float64).reshape(-1, 2)
     rpts = np.array([[d.birth, d.death] for d in right.dots], dtype=np.float64).reshape(-1, 2)
+    for side, pts in (("left", lpts), ("right", rpts)):
+        if not np.isfinite(pts).all():
+            i = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+            raise ValueError(f"{side} dot {i} has a non-finite birth or death: "
+                             f"({pts[i, 0]!r}, {pts[i, 1]!r})")
     if lpts.shape[0] == 0 and rpts.shape[0] == 0:
         return DiagramMatching((), 0.0, p)
     if math.isinf(p):
@@ -74,6 +76,8 @@ def _pairs_from_assignment(rows, cols, n: int, m: int) -> tuple[tuple[int, int],
 
 
 def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
+    from scipy.optimize import linear_sum_assignment
+
     n, m = lpts.shape[0], rpts.shape[0]
     size = n + m
     cost = np.full((size, size), np.inf)
@@ -93,6 +97,9 @@ def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
 
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     n, m = lpts.shape[0], rpts.shape[0]
     size = n + m
     if n and m:

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .grid import as_mask, label_components
 
@@ -65,6 +63,9 @@ def betti_matching_error(pred, gt) -> int:
     (equivalently: an edge per co-occurring label pair). With M the maximum
     bipartite matching, the error is (|pred| - |M|) + (|gt| - |M|).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     pred, gt = _check_pair(pred, gt)
     lp = label_components(pred, 4)
     lg = label_components(gt, 4)

@@ -17,11 +17,10 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .diagram import DEFAULT_PHI
 from .grid import as_mask, format_real
@@ -64,6 +63,12 @@ class TrainConfig:
     labeled: LabeledSupervision | None = None
 
     def validate(self) -> None:
+        values = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        if self.labeled is not None:
+            values += [("labeled.w1", self.labeled.w1), ("labeled.w2", self.labeled.w2)]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.learning_rate <= 0.0:
@@ -124,6 +129,8 @@ def ema_update(teacher_logits, student_logits, alpha: float) -> np.ndarray:
 def run_simulation(student_init_logits, config: TrainConfig,
                    teacher_init_logits=None) -> TrainTrace:
     """Run the full loop; the teacher starts as a copy of the student unless given."""
+    from scipy.special import expit
+
     config.validate()
     theta_s = np.array(student_init_logits, dtype=np.float64)
     if theta_s.ndim != 2 or theta_s.size == 0:

@@ -18,6 +18,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+def assert_data_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.fixture
 def quad_grid(tmp_path):
     path = tmp_path / "quad.csv"
@@ -126,6 +135,18 @@ class TestDecompose:
         assert len(load_diagram_csv(signal).dots) == 1
         assert len(load_diagram_csv(noise).dots) == 1
 
+    @pytest.mark.parametrize("phi", NON_FINITE)
+    def test_non_finite_phi_returns_two(self, capsys, tmp_path, quad_grid, phi):
+        signal = tmp_path / "signal.csv"
+        noise = tmp_path / "noise.csv"
+        code, out, err = run_cli(
+            capsys, "decompose", quad_grid, f"--phi={phi}",
+            "--signal-out", str(signal), "--noise-out", str(noise),
+        )
+        assert_data_error(code, out, err)
+        assert "threshold" in err
+        assert not signal.exists() and not noise.exists()
+
 
 class TestWasserstein:
     def test_identity_distance_zero(self, capsys, tmp_path, quad_grid):
@@ -194,6 +215,13 @@ class TestLoss:
         assert payload["pixel_ce"] > 0.0
         assert grad_out.read_text() == "0.2,-0.2,0\n"
 
+    @pytest.mark.parametrize("phi", NON_FINITE)
+    def test_non_finite_phi_returns_two(self, capsys, quad_grid, phi):
+        code, out, err = run_cli(
+            capsys, "loss", "--student", quad_grid, "--teacher", quad_grid, f"--phi={phi}",
+        )
+        assert_data_error(code, out, err)
+
 
 class TestGradCheck:
     def _write_pair(self, tmp_path):
@@ -220,6 +248,14 @@ class TestGradCheck:
                                "--teacher", teacher, "--tolerance", "0")
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", ["--tolerance", "--h"])
+    def test_non_finite_tolerance_and_step_return_two(self, capsys, tmp_path, flag, value):
+        student, teacher = self._write_pair(tmp_path)
+        code, out, err = run_cli(capsys, "grad-check", "--student", student,
+                                 "--teacher", teacher, f"{flag}={value}")
+        assert_data_error(code, out, err)
 
     def test_tied_values_exit_two(self, capsys, tmp_path):
         grid = tmp_path / "tied.csv"
@@ -323,6 +359,20 @@ class TestDemo:
         )
         assert code == 2
         assert "labeled mask" in err
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", ["--phi", "--eta", "--lambda-u2", "--w1"])
+    def test_non_finite_real_returns_two(self, capsys, tmp_path, flag, value):
+        mask = tmp_path / "mask.pgm"
+        save_mask_pgm(np.ones((32, 32), dtype=bool), mask)
+        code, out, err = run_cli(
+            capsys, "demo", "--steps", "1", f"{flag}={value}", "--labeled-mask", str(mask),
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--student-out", str(tmp_path / "s.pgm"),
+            "--teacher-out", str(tmp_path / "te.pgm"),
+        )
+        assert_data_error(code, out, err)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_invalid_steps_returns_two(self, capsys, tmp_path):
         code, _, err = run_cli(

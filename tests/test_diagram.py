@@ -60,6 +60,11 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(make_diagram(), -0.1)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            decompose(make_diagram(), phi)
+
     def test_monotone_in_phi(self):
         diagram = diagram_from_pairs(
             [(0.1, 0.95), (0.2, 0.6), (0.3, 0.4), (0.5, 0.55)]

@@ -153,3 +153,15 @@ class TestArgumentValidation:
         d = diagram_from_pairs([(0.1, 0.2)])
         with pytest.raises(ValueError):
             match_diagrams(d, d, float("nan"))
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["birth", "death"])
+    def test_non_finite_dot_rejected(self, p, side, bad, field):
+        good = diagram_from_pairs([(0.1, 0.2), (0.3, 0.9)])
+        dot = (bad, 0.9) if field == "birth" else (0.3, bad)
+        broken = diagram_from_pairs([(0.1, 0.2), dot])
+        left, right = (broken, good) if side == "left" else (good, broken)
+        with pytest.raises(ValueError, match=f"{side} dot 1 has a non-finite"):
+            match_diagrams(left, right, p)

@@ -108,6 +108,15 @@ class TestConfigValidation:
         {"steps": 5, "ramp_k": -0.5},
         {"steps": 5, "strong_noise_sigma": -1.0},
         {"steps": 5, "noise_mode": "melt"},
+    ] + [
+        {"steps": 5, name: bad}
+        for name in ("learning_rate", "ema_decay", "phi", "lambda_u2", "ramp_k",
+                     "strong_noise_sigma")
+        for bad in (math.nan, math.inf, -math.inf)
+    ] + [
+        {"steps": 5, "labeled": LabeledSupervision(np.ones((2, 2)), **{name: bad})}
+        for name in ("w1", "w2")
+        for bad in (math.nan, math.inf, -math.inf)
     ])
     def test_rejected_configs(self, kwargs):
         with pytest.raises(ValueError):
