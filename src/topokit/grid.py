@@ -163,8 +163,12 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
 
 def _read_csv_grid(path) -> np.ndarray:
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
     rows: list[list[float]] = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         cells = line.split(",")
         try:
             rows.append([float(c) for c in cells])

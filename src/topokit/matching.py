@@ -75,54 +75,52 @@ def _pairs_from_assignment(rows, cols, n: int, m: int) -> tuple[tuple[int, int],
     return tuple(pairs)
 
 
+_MAX_MATRIX_BYTES = 1 << 30  # the dense (n+m)^2 float64 matrix: n + m <= 11585
+
+
+def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarray:
+    """(n+m)^2 ground distances of the augmented square assignment problem.
+
+    Rows are left dots then right diagonal copies, columns right dots then
+    left diagonal copies. A dot reaches every dot of the other side at the
+    ground distance and its own diagonal copy at gap / sqrt(2) (gap / 2 under
+    Chebyshev); copies reach each other at 0; all else is inf.
+    """
+    n, m = lpts.shape[0], rpts.shape[0]
+    size = n + m
+    if size * size * 8 > _MAX_MATRIX_BYTES:
+        raise ValueError(f"matching {n} against {m} dots needs a {size * size * 8}-byte "
+                         f"distance matrix, over the {_MAX_MATRIX_BYTES}-byte limit")
+    dist = np.full((size, size), np.inf)
+    diff = np.abs(lpts[:, None, :] - rpts[None, :, :])
+    dist[:n, :m] = diff.max(axis=2) if chebyshev else np.sqrt((diff * diff).sum(axis=2))
+    scale = 2.0 if chebyshev else _SQRT2
+    dist[np.arange(n), m + np.arange(n)] = np.abs(lpts[:, 1] - lpts[:, 0]) / scale
+    dist[n + np.arange(m), np.arange(m)] = np.abs(rpts[:, 1] - rpts[:, 0]) / scale
+    dist[n:, m:] = 0.0
+    return dist
+
+
 def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     from scipy.optimize import linear_sum_assignment
 
-    n, m = lpts.shape[0], rpts.shape[0]
-    size = n + m
-    cost = np.full((size, size), np.inf)
-    if n and m:
-        diff = lpts[:, None, :] - rpts[None, :, :]
-        cost[:n, :m] = np.sqrt((diff * diff).sum(axis=2)) ** p
-    if n:
-        gap_l = np.abs(lpts[:, 1] - lpts[:, 0]) / _SQRT2
-        cost[np.arange(n), m + np.arange(n)] = gap_l ** p
-    if m:
-        gap_r = np.abs(rpts[:, 1] - rpts[:, 0]) / _SQRT2
-        cost[n + np.arange(m), np.arange(m)] = gap_r ** p
-    cost[n:, m:] = 0.0
+    cost = _augmented(lpts, rpts, chebyshev=False)
+    cost **= p  # in place: a second (n+m)^2 matrix would double the peak memory
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
-    return _pairs_from_assignment(rows, cols, n, m), float(total ** (1.0 / p))
+    return _pairs_from_assignment(rows, cols, len(lpts), len(rpts)), float(total ** (1.0 / p))
 
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    n, m = lpts.shape[0], rpts.shape[0]
-    size = n + m
-    if n and m:
-        cheb = np.abs(lpts[:, None, :] - rpts[None, :, :]).max(axis=2)
-    else:
-        cheb = np.zeros((n, m))
-    gap_l = np.abs(lpts[:, 1] - lpts[:, 0]) / 2.0
-    gap_r = np.abs(rpts[:, 1] - rpts[:, 0]) / 2.0
-    candidates = np.unique(np.concatenate([[0.0], cheb.ravel(), gap_l, gap_r]))
+    dist = _augmented(lpts, rpts, chebyshev=True)
+    candidates = np.unique(dist[np.isfinite(dist)])  # the optimum is one of these
 
     def matching_at(d: float):
-        adj = np.zeros((size, size), dtype=np.uint8)
-        if n and m:
-            adj[:n, :m] = cheb <= d
-        if n:
-            adj[np.arange(n), m + np.arange(n)] = gap_l <= d
-        if m:
-            adj[n + np.arange(m), np.arange(m)] = gap_r <= d
-        adj[n:, m:] = 1
-        row_of_col = maximum_bipartite_matching(csr_matrix(adj), perm_type="row")
-        if int((row_of_col >= 0).sum()) != size:
-            return None
-        return row_of_col
+        row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
+        return row_of_col if (row_of_col >= 0).all() else None
 
     lo, hi = 0, len(candidates) - 1  # the largest candidate is always feasible
     best = matching_at(float(candidates[hi]))
@@ -133,6 +131,5 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
             lo = mid + 1
         else:
             best, hi = found, mid
-    cost = float(candidates[hi])
-    rows = [int(best[c]) for c in range(size)]
-    return _pairs_from_assignment(rows, range(size), n, m), cost
+    rows = best.tolist()
+    return _pairs_from_assignment(rows, range(len(rows)), len(lpts), len(rpts)), float(candidates[hi])

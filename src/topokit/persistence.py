@@ -1,11 +1,22 @@
 """0-dimensional sublevel-set persistence of 2D grids.
 
-Pixels are inserted in increasing value order (ties broken by row-major
-index) into a union-find forest. When an inserted pixel joins two or more
-live components, the elder rule keeps the component with the smaller
-(birth value, birth pixel) and kills the others; the inserted pixel is
-recorded as the death pixel of every killed component. The one component
-that never dies is reported as the essential dot with death pinned at 1.0.
+Pixels are inserted in the order of a stable argsort of their values
+(ties broken by row-major index) into a union-find forest, and each root
+stores the birth rank: the position in that order of its component's first
+pixel. When an inserted pixel joins two or more live components, the elder
+rule keeps the component with the smallest birth rank and kills the others;
+the inserted pixel is recorded as the death pixel of every killed
+component. A stable argsort ranks pixel a before b exactly when
+(value a, a) < (value b, b), so the smallest rank is the smallest
+(birth value, birth pixel) and no value is compared after the sort. The one
+component that never dies is reported as the essential dot with death
+pinned at 1.0.
+
+The forest is indexed over a frame: the grid plus a one-cell border that
+is never inserted. Every pixel then has the same neighbour offsets (up,
+down, left, right, then the four diagonals for 8-connectivity) and no
+bounds are checked. Roots are met in that neighbour order, which fixes the
+order in which the dots killed at one pixel are emitted.
 
 The superlevel direction runs the same algorithm on 1 - v and reports
 births and deaths in original value coordinates, so a superlevel dot has
@@ -80,39 +91,20 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
     h, w = values.shape
-    n = h * w
+    fw = w + 2  # frame width: the grid plus a one-cell border that is never inserted
     flat = values.ravel()
-    work = (1.0 - flat) if direction == SUPERLEVEL else flat
-    order = np.argsort(work, kind="stable").tolist()
-    work_l = work.tolist()
+    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
     flat_l = flat.tolist()
-    parent = [-1] * n  # -1 marks a pixel not yet inserted
-    birth_px = [0] * n  # valid at root indices only
-    diagonal = connectivity == 8
+    offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
+    parent = [-1] * (fw * (h + 2))  # -1 marks a cell not yet inserted
+    birth = [0] * len(parent)  # at a root: the rank of its component's first pixel
     dots: list[PersistentDot] = []
 
-    for px in order:
-        r, c = px // w, px % w
-        nbrs = []
-        if r:
-            nbrs.append(px - w)
-        if r + 1 < h:
-            nbrs.append(px + w)
-        if c:
-            nbrs.append(px - 1)
-        if c + 1 < w:
-            nbrs.append(px + 1)
-        if diagonal:
-            if r and c:
-                nbrs.append(px - w - 1)
-            if r and c + 1 < w:
-                nbrs.append(px - w + 1)
-            if r + 1 < h and c:
-                nbrs.append(px + w - 1)
-            if r + 1 < h and c + 1 < w:
-                nbrs.append(px + w + 1)
+    for i, px in enumerate(order):
+        cell = px + 2 * (px // w) + fw + 1
         roots = []
-        for q in nbrs:
+        for q in offsets:
+            q += cell
             if parent[q] >= 0:
                 while parent[q] != q:  # find with path halving
                     parent[q] = parent[parent[q]]
@@ -120,22 +112,18 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
                 if q not in roots:
                     roots.append(q)
         if not roots:
-            parent[px] = px
-            birth_px[px] = px
+            parent[cell] = cell
+            birth[cell] = i
             continue
         elder = roots[0]
         if len(roots) > 1:
-            eb, ep = work_l[birth_px[elder]], birth_px[elder]
-            for q in roots[1:]:
-                qb, qp = work_l[birth_px[q]], birth_px[q]
-                if qb < eb or (qb == eb and qp < ep):
-                    elder, eb, ep = q, qb, qp
+            elder = min(roots, key=birth.__getitem__)
             for q in roots:
                 if q != elder:
-                    bp = birth_px[q]
+                    bp = order[birth[q]]
                     dots.append(PersistentDot(flat_l[bp], flat_l[px], bp, px))
                     parent[q] = elder
-        parent[px] = elder
+        parent[cell] = elder
 
     ess_px = order[0]  # global minimum under the tie-broken order never dies
     ess_death = 0.0 if direction == SUPERLEVEL else 1.0
@@ -183,8 +171,13 @@ def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
 def load_diagram_csv(path) -> PersistenceDiagram:
     """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise GridFormatError(f"{path}: {exc}") from None
     if not rows or rows[0] != DIAGRAM_CSV_HEADER:
         raise GridFormatError(f"{path}: missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
     dots = []

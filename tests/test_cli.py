@@ -76,6 +76,15 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, "pd", quad_grid, "--connectivity", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["pd", "wasserstein"])
+    def test_non_utf8_file_named_in_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe0.5,0.1\n")
+        argv = [str(bad)] if command == "pd" else [str(bad), str(bad)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert_data_error(code, out, err)
+        assert err == f"error: {bad}: not UTF-8 text\n"
+
 
 class TestPd:
     def test_stdout_diagram(self, capsys, quad_grid):
@@ -187,6 +196,22 @@ class TestWasserstein:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_oversized_pair_returns_two(self, capsys, tmp_path, p):
+        rows = "".join(f"0.25,0.75,{i},{i + 1},0\n" for i in range(6000))
+        diagram = tmp_path / "big.csv"
+        diagram.write_text("birth,death,birth_px,death_px,essential\n" + rows)
+        code, out, err = run_cli(capsys, "wasserstein", str(diagram), str(diagram), "--p", p)
+        assert_data_error(code, out, err)
+        assert "6000 against 6000 dots" in err
+
+    def test_oversized_field_returns_two(self, capsys, tmp_path):
+        diagram = tmp_path / "d.csv"
+        diagram.write_text("birth,death,birth_px,death_px,essential\n" + "1" * 200_000 + ",0.5,0,1,0\n")
+        code, out, err = run_cli(capsys, "wasserstein", str(diagram), str(diagram))
+        assert_data_error(code, out, err)
+        assert "d.csv" in err
 
     def test_missing_diagram_returns_two(self, capsys, tmp_path):
         code, _, _ = run_cli(

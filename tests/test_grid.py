@@ -215,6 +215,12 @@ class TestCsv:
         back = load_grid(path)
         assert np.abs(back - g).max() <= 1e-9
 
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"\xff\xfe0.5,0.1\n")
+        with pytest.raises(GridFormatError, match=r"g\.csv: not UTF-8 text"):
+            load_grid(path)
+
     def test_format_override_beats_extension(self, tmp_path):
         path = tmp_path / "grid.dat"
         path.write_text("0.25,0.75\n")

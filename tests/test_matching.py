@@ -1,12 +1,14 @@
 """Diagram matching: Wasserstein, bottleneck, and assignment optimality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from topokit.matching import DIAGONAL, match_diagrams
+from topokit.persistence import PersistenceDiagram, PersistentDot
 
 from _support import (
     brute_assignment_cost,
@@ -165,3 +167,27 @@ class TestArgumentValidation:
         left, right = (broken, good) if side == "left" else (good, broken)
         with pytest.raises(ValueError, match=f"{side} dot 1 has a non-finite"):
             match_diagrams(left, right, p)
+
+
+def many_dots(count: int) -> PersistenceDiagram:
+    return PersistenceDiagram(tuple(PersistentDot(0.25, 0.75, i, i + 1) for i in range(count)))
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_oversized_pair_rejected_before_allocating(self, p):
+        # 6000 + 6000 dots would need a 12000^2 float64 matrix: 1.15 GB, over the 1 GiB limit.
+        left, right = many_dots(6000), many_dots(6000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"6000 against 6000 dots needs a 1152000000-byte"):
+                match_diagrams(left, right, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_one_side_past_the_limit_rejected(self):
+        # 11585^2 * 8 bytes is just under 1 GiB, 11586^2 * 8 just over.
+        with pytest.raises(ValueError, match="0 against 11586 dots"):
+            match_diagrams(many_dots(0), many_dots(11586))

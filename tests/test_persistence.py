@@ -1,5 +1,7 @@
 """Union-find diagram computation against the replay oracle and worked cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from topokit.persistence import (
     PersistentDot,
     betti_curve,
     compute_diagram,
+    format_diagram_csv,
     load_diagram_csv,
     save_diagram_csv,
 )
@@ -135,6 +138,17 @@ class TestOracleEquivalence:
         grid = np.array(cells, dtype=np.float64).reshape(3, 4) / 6.0
         assert dot_tuples(compute_diagram(grid)) == dot_tuples(oracle_diagram(grid))
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("shape", [(1, 19), (19, 1), (1, 1)])
+    def test_one_pixel_wide_grids(self, shape, connectivity):
+        rng = np.random.default_rng(47)
+        for levels in (3, 0):
+            for _ in range(10):
+                grid = (rng.integers(0, levels, shape) / (levels - 1) if levels
+                        else random_distinct_grid(rng, *shape))
+                left = compute_diagram(grid, SUBLEVEL, connectivity)
+                assert dot_tuples(left) == dot_tuples(oracle_diagram(grid, connectivity))
+
     def test_oracle_guard_rejects_large_grids(self):
         grid = np.random.default_rng(0).uniform(size=(21, 21))
         assert grid.size > ORACLE_PIXEL_LIMIT
@@ -181,6 +195,72 @@ class TestStructuralInvariants:
     def test_determinism(self):
         grid = np.random.default_rng(37).uniform(0.0, 1.0, (9, 9))
         assert compute_diagram(grid) == compute_diagram(grid)
+
+
+def _spread(n, modulus=257):
+    """n distinct integers in [0, modulus) from integer arithmetic (modulus prime, n <= modulus)."""
+    return np.arange(n) * 7919 % modulus
+
+
+FROZEN_GRIDS = {
+    "distinct-13x11": _spread(143).reshape(13, 11) / 256,
+    "distinct-37x29": _spread(1073, 1201).reshape(37, 29) / 1200,
+    "ties8-15x12": (_spread(180) % 8).reshape(15, 12) / 7,
+    "row-1x23": (_spread(23) % 5).reshape(1, 23) / 4,
+    "col-23x1": (_spread(23) % 5).reshape(23, 1) / 4,
+    "single-1x1": np.array([[0.5]]),
+    # Sublevel, 4-connected: the centre pixel kills the three younger arms at once.
+    "kill3-3x3": np.array([[1.0, 0.25, 1.0], [0.25, 0.5, 0.25], [1.0, 0.25, 1.0]]),
+}
+
+# SHA-256 of format_diagram_csv(compute_diagram(grid, direction, connectivity)),
+# recorded with the earlier kernel that bounds-checked every neighbour and
+# compared (value, pixel) pairs. The CSV lists dots in emission order, so these
+# also pin the order of several dots killed at one pixel.
+FROZEN_DIGESTS = {
+    "distinct-13x11-sublevel-4": "80ab923c998f129fe96ed891c50b1b9895ab22b934a8172667dfa41c8e5bb0ad",
+    "distinct-13x11-sublevel-8": "e1b0edd3cf58f3ff1c617be90eeafe5afb6ca8e0ba257492d1831bf5c47c0152",
+    "distinct-13x11-superlevel-4": "5688cc7190a3b5f40126aac0a956ac0cdc722428cf17dc002fd8d359d51564cf",
+    "distinct-13x11-superlevel-8": "03bc5b3b0ce75949109ba76c70953b7df58a2395ad22a0d99c12122416880d7f",
+    "distinct-37x29-sublevel-4": "d84f573d5a22090ac6aab81df959f13337d1c697e2266dbaa35d1e6d1c5ce0e6",
+    "distinct-37x29-sublevel-8": "4e751f0a330a69e93943709843b32df9596507b9bb31780861b38c081bc60714",
+    "distinct-37x29-superlevel-4": "054b36523200085fd7ba3a0e9a94c1045738d2ac1687e57fd19ae4e6ad1f40b4",
+    "distinct-37x29-superlevel-8": "8881b3ea82227d88e5e9b146654bed28072d98e3710a39422682922d1b741d26",
+    "ties8-15x12-sublevel-4": "2e52bcf9759a84d7861370b8cf9ded2e388dee1489a06e5e33ee25392bfd8b7e",
+    "ties8-15x12-sublevel-8": "a37f4edc0051f3d61b5b66ac9acac82ffd07c81e667f67f4db794cf28a5e6a02",
+    "ties8-15x12-superlevel-4": "ee35905d3aa52e436c9c04db2ab3c07c27eab89194ea26cbfefc1ebd8a7cf91d",
+    "ties8-15x12-superlevel-8": "ee35905d3aa52e436c9c04db2ab3c07c27eab89194ea26cbfefc1ebd8a7cf91d",
+    "row-1x23-sublevel-4": "5dd0b07a6c253173b2218bec991d1a168d8643906fe8c6901e649b5fdebab966",
+    "row-1x23-sublevel-8": "5dd0b07a6c253173b2218bec991d1a168d8643906fe8c6901e649b5fdebab966",
+    "row-1x23-superlevel-4": "0d5115a95fcf1617385bbcbd5e802b1f88843728294aab72201fcead58ec00de",
+    "row-1x23-superlevel-8": "0d5115a95fcf1617385bbcbd5e802b1f88843728294aab72201fcead58ec00de",
+    "col-23x1-sublevel-4": "5dd0b07a6c253173b2218bec991d1a168d8643906fe8c6901e649b5fdebab966",
+    "col-23x1-sublevel-8": "5dd0b07a6c253173b2218bec991d1a168d8643906fe8c6901e649b5fdebab966",
+    "col-23x1-superlevel-4": "0d5115a95fcf1617385bbcbd5e802b1f88843728294aab72201fcead58ec00de",
+    "col-23x1-superlevel-8": "0d5115a95fcf1617385bbcbd5e802b1f88843728294aab72201fcead58ec00de",
+    "single-1x1-sublevel-4": "9fdb01589b8edcc2439a0aada4cfedf3bb07d40c0a29b905f3d098c22f3a549f",
+    "single-1x1-sublevel-8": "9fdb01589b8edcc2439a0aada4cfedf3bb07d40c0a29b905f3d098c22f3a549f",
+    "single-1x1-superlevel-4": "e979a3da000a630742d74beda7df38dd1d9b90c313e1b2d8fe9fe1cb764fc077",
+    "single-1x1-superlevel-8": "e979a3da000a630742d74beda7df38dd1d9b90c313e1b2d8fe9fe1cb764fc077",
+    "kill3-3x3-sublevel-4": "e139880f3c3baee97ba43c840ae4b4b9c57147f4a501181c07f25fb5233479de",
+    "kill3-3x3-sublevel-8": "cd7b25a0f0fdd55fe0df4d8e05eb71cc97cb9f8e4b1e26809d13b40799422010",
+    "kill3-3x3-superlevel-4": "f59670bf096e87cec674eae5a8706fec6507c9a14a677af863f67c6d3f64a765",
+    "kill3-3x3-superlevel-8": "50197d01df526b1ce32e24d8ed81e0c9df4eb4c611137b0b6b1992cbe180b12a",
+}
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("case", sorted(FROZEN_DIGESTS))
+    def test_diagram_csv_digest(self, case):
+        name, direction, connectivity = case.rsplit("-", 2)
+        text = format_diagram_csv(compute_diagram(FROZEN_GRIDS[name], direction, int(connectivity)))
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DIGESTS[case]
+
+    def test_one_pixel_kills_three_in_neighbour_order(self):
+        # Roots are met up, down, left, right; the elder is the arm with the smallest
+        # pixel index (all arms tie at 0.25), and the others die in that order.
+        dots = compute_diagram(FROZEN_GRIDS["kill3-3x3"]).dots
+        assert [(d.birth_pixel, d.death_pixel) for d in dots] == [(7, 4), (3, 4), (5, 4), (1, None)]
 
 
 class TestSuperlevel:
@@ -253,6 +333,12 @@ class TestDiagramCsv:
         path = tmp_path / "dgm.csv"
         save_diagram_csv(PersistenceDiagram((dot,)), path)
         assert load_diagram_csv(path).dots == (dot,)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_bytes(b"\xff\xfebirth,death,birth_px,death_px,essential\n")
+        with pytest.raises(GridFormatError, match=r"dgm\.csv: not UTF-8 text"):
+            load_diagram_csv(path)
 
     @pytest.mark.parametrize("row", [
         "nan,0.9,0,1,0", "0.1,inf,0,1,0", "-inf,0.9,0,1,0", "-0.1,0.9,0,1,0",
