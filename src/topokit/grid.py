@@ -128,6 +128,8 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     if magic not in (b"P2", b"P5"):
         raise GridFormatError(f"{path}: not a PGM file (magic {magic!r})")
     try:
+        if b"_" in b"".join(tokens[1:4]):  # int() reads Python's digit separators: b"1_0" is 10
+            raise ValueError
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
         raise GridFormatError(f"{path}: malformed PGM header {tokens[1:4]!r}") from None
@@ -139,6 +141,8 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     if magic == b"P2":
         raw = data[pos:].split()
         try:
+            if data.find(b"_", pos) >= 0:
+                raise ValueError
             samples = np.array([int(t) for t in raw], dtype=np.int64)
         except ValueError:
             raise GridFormatError(f"{path}: non-integer sample in P2 raster") from None
@@ -168,9 +172,12 @@ def _read_csv_grid(path) -> np.ndarray:
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
     rows: list[list[float]] = []
+    underscore = "_" in text  # float() reads Python's digit separators: "0.2_5" is 0.25
     for ln, line in enumerate(text.splitlines(), start=1):
         cells = line.split(",")
         try:
+            if underscore and "_" in line:
+                raise ValueError
             rows.append([float(c) for c in cells])
         except ValueError:
             raise GridFormatError(f"{path}: line {ln}: unparseable cell") from None

@@ -18,6 +18,7 @@ Essential dots participate like any other dot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +105,26 @@ def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarra
 def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     from scipy.optimize import linear_sum_assignment
 
+    n, m = len(lpts), len(rpts)
     cost = _augmented(lpts, rpts, chebyshev=False)
+    # The largest finite cost: a dot-dot distance or a diagonal gap (views, no copies).
+    top = float(max(cost[:n, :m].max(initial=0.0), np.diagonal(cost[:n, m:]).max(initial=0.0),
+                    np.diagonal(cost[n:, :m]).max(initial=0.0)))
+    scale = 1.0
+    if top > 0.0 and not _power_is_normal(top, p):
+        scale = top  # at a large p, top ** p under- or overflows: work in units of top
+        cost /= scale
     cost **= p  # in place: a second (n+m)^2 matrix would double the peak memory
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
-    return _pairs_from_assignment(rows, cols, len(lpts), len(rpts)), float(total ** (1.0 / p))
+    return _pairs_from_assignment(rows, cols, n, m), scale * float(total ** (1.0 / p))
+
+
+def _power_is_normal(x: float, p: float) -> bool:
+    try:
+        return x ** p >= sys.float_info.min  # false for 0.0 and subnormals
+    except OverflowError:
+        return False
 
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):

@@ -79,11 +79,26 @@ class PersistenceDiagram:
         return None
 
 
+# The two most recent pairings, newest first: (h, w, connectivity), the stable
+# argsort the loop iterated over, and the diagram it gave. Two because
+# topo_loss_and_gradient computes two diagrams per call, student and teacher.
+# Entries are never changed and the list is replaced whole, so a concurrent caller
+# can at worst drop an entry, never read a mixed one.
+_recent: list[tuple[tuple[int, int, int], list[int], PersistenceDiagram]] = []
+_RECENT_SIZE = 2
+
+
 def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
     """Union-find persistence of the grid's threshold filtration.
 
     Finite dots are emitted in merge (death) order; the essential dot comes
     last. Deterministic: all ties are broken by row-major pixel index.
+
+    The pairing depends only on the shape, the connectivity and the stable
+    argsort, so when those equal the ones of one of the two most recent
+    calls, that call's birth/death pixels are reused in its emission order and
+    only the values are read from this grid, which gives the dots the loop
+    would give. No reference to the grid is kept.
     """
     values = as_likelihood(grid)
     if direction not in DIRECTIONS:
@@ -91,10 +106,33 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
     h, w = values.shape
-    fw = w + 2  # frame width: the grid plus a one-cell border that is never inserted
     flat = values.ravel()
     order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
     flat_l = flat.tolist()
+    ess_death = 0.0 if direction == SUPERLEVEL else 1.0
+    key = (h, w, connectivity)
+    recent = list(_recent)
+    for i, entry in enumerate(recent):
+        if entry[0] == key and entry[1] == order:
+            del recent[i]
+            dots = tuple(
+                PersistentDot(flat_l[d.birth_pixel],
+                              ess_death if d.death_pixel is None else flat_l[d.death_pixel],
+                              d.birth_pixel, d.death_pixel)
+                for d in entry[2].dots
+            )
+            break
+    else:
+        dots = _pair(order, flat_l, h, w, connectivity, ess_death)
+    diagram = PersistenceDiagram(dots)
+    _recent[:] = [(key, order, diagram)] + recent[:_RECENT_SIZE - 1]
+    return diagram
+
+
+def _pair(order: list[int], flat_l: list[float], h: int, w: int, connectivity: int,
+          ess_death: float) -> tuple[PersistentDot, ...]:
+    """The union-find loop over pixels in the given order; values only label the dots."""
+    fw = w + 2  # frame width: the grid plus a one-cell border that is never inserted
     offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
     parent = [-1] * (fw * (h + 2))  # -1 marks a cell not yet inserted
     birth = [0] * len(parent)  # at a root: the rank of its component's first pixel
@@ -126,9 +164,8 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
         parent[cell] = elder
 
     ess_px = order[0]  # global minimum under the tie-broken order never dies
-    ess_death = 0.0 if direction == SUPERLEVEL else 1.0
     dots.append(PersistentDot(flat_l[ess_px], ess_death, ess_px))
-    return PersistenceDiagram(tuple(dots))
+    return tuple(dots)
 
 
 def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
@@ -185,6 +222,8 @@ def load_diagram_csv(path) -> PersistenceDiagram:
         if len(row) != 5:
             raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
         try:
+            if "_" in "".join(row):  # float() and int() read Python's digit separators
+                raise ValueError
             birth, death = float(row[0]), float(row[1])
             birth_px = int(row[2])
             death_px = None if row[3] == "" else int(row[3])

@@ -129,6 +129,17 @@ class TestPd:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("name, text", [
+        ("g.csv", "0.1,0.2_5\n0.3,0.4\n"),
+        ("g.pgm", "P2\n2 2\n255\n1_0 20 30 40\n"),
+        ("h.pgm", "P2\n2 2\n25_5\n10 20 30 40\n"),
+    ])
+    def test_digit_separators_return_two(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert_data_error(*run_cli(capsys, "pd", str(path)))
+
+
 class TestDecompose:
     def test_split_and_json(self, capsys, tmp_path, quad_grid):
         signal = tmp_path / "signal.csv"
@@ -212,6 +223,20 @@ class TestWasserstein:
         code, out, err = run_cli(capsys, "wasserstein", str(diagram), str(diagram))
         assert_data_error(code, out, err)
         assert "d.csv" in err
+
+    def test_large_order_does_not_underflow(self, capsys, tmp_path):
+        left, right = tmp_path / "a.csv", tmp_path / "b.csv"
+        left.write_text("birth,death,birth_px,death_px,essential\n0.1,0.9,0,1,0\n")
+        right.write_text("birth,death,birth_px,death_px,essential\n0.2,0.3,0,1,0\n")
+        code, out, _ = run_cli(capsys, "wasserstein", str(left), str(right), "--p", "5000")
+        assert code == 0
+        assert json.loads(out)["distance"] == pytest.approx(0.8 / np.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("row", ["0.1,0.9,1_0,1,0", "0.2_5,0.9,0,1,0"])
+    def test_digit_separators_return_two(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n")
+        assert_data_error(*run_cli(capsys, "wasserstein", str(bad), str(bad)))
 
     def test_missing_diagram_returns_two(self, capsys, tmp_path):
         code, _, _ = run_cli(

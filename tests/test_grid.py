@@ -173,6 +173,21 @@ class TestPgm:
         with pytest.raises(GridFormatError):
             load_grid(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("P2\n2 1\n1_0\n5 10\n", "malformed PGM header"),
+        ("P2\n2 1\n10\n5 1_0\n", "non-integer sample"),
+    ])
+    def test_digit_separators_rejected(self, tmp_path, text, message):
+        path = tmp_path / "us.pgm"
+        path.write_text(text)
+        with pytest.raises(GridFormatError, match=message):
+            load_grid(path)
+
+    def test_underscores_in_comments_and_binary_rasters_accepted(self, tmp_path):
+        path = tmp_path / "ok.pgm"
+        path.write_bytes(b"P5 # scan_01\n2 1\n255\n" + b"_\x00")
+        assert load_grid(path).tolist() == [[ord("_") / 255, 0.0]]
+
     def test_save_load_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(3)
         g = rng.uniform(0.0, 1.0, (5, 7))
@@ -194,6 +209,18 @@ class TestCsv:
         path = tmp_path / "g.csv"
         path.write_text("0.1,0.9\n0.2,0.8\n")
         assert load_grid(path).tolist() == [[0.1, 0.9], [0.2, 0.8]]
+
+    @pytest.mark.parametrize("cell", ["0.2_5", "1_0e-1"])
+    def test_digit_separators_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "g.csv"
+        path.write_text(f"0.1,0.9\n0.2,{cell}\n")
+        with pytest.raises(GridFormatError, match="line 2: unparseable cell"):
+            load_grid(path)
+
+    def test_padding_spaces_accepted(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(" 0.5 ,0.25\n0.3,\t0.4\n")
+        assert load_grid(path).tolist() == [[0.5, 0.25], [0.3, 0.4]]
 
     def test_non_rectangular_rejected(self, tmp_path):
         path = tmp_path / "g.csv"

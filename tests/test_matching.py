@@ -56,6 +56,23 @@ class TestFrozenExamples:
         assert result.cost == pytest.approx(0.35, abs=1e-12)
 
 
+class TestLargeOrder:
+    @pytest.mark.parametrize("p", [2100, 5000])
+    def test_powers_below_the_float_range(self, p):
+        # 0.608 ** 2100 underflows to 0.0; the costs are rescaled by their largest entry.
+        left, right = diagram_from_pairs([(0.1, 0.9)]), diagram_from_pairs([(0.2, 0.3)])
+        assert match_diagrams(left, right, p).cost == pytest.approx(0.8 / math.sqrt(2), abs=1e-9)
+
+    def test_powers_above_the_float_range(self):
+        left = diagram_from_pairs([(0.0, 100.0)])  # gap 70.7; 70.7 ** 200 overflows
+        assert match_diagrams(left, diagram_from_pairs([]), 200).cost == \
+            pytest.approx(100.0 / math.sqrt(2), rel=1e-12)
+
+    def test_ordinary_order_is_not_rescaled(self):
+        left, right = diagram_from_pairs([(0.1, 0.9)]), diagram_from_pairs([(0.2, 0.3)])
+        assert match_diagrams(left, right, 1000).cost == 0.565685424949238
+
+
 class TestPairStructure:
     def test_every_dot_used_once(self):
         rng = np.random.default_rng(51)

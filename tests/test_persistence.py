@@ -1,12 +1,14 @@
 """Union-find diagram computation against the replay oracle and worked cases."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topokit import persistence
 from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, label_components, threshold
 from topokit.persistence import (
     PersistenceDiagram,
@@ -197,6 +199,98 @@ class TestStructuralInvariants:
         assert compute_diagram(grid) == compute_diagram(grid)
 
 
+def fresh_diagram(grid, direction, connectivity):
+    """compute_diagram with nothing remembered, leaving the remembered pairings as they were."""
+    saved = list(persistence._recent)
+    persistence._recent.clear()
+    try:
+        return compute_diagram(grid, direction, connectivity)
+    finally:
+        persistence._recent[:] = saved
+
+
+def _base_grid(rng, kind, h, w):
+    if kind == "distinct":
+        return random_distinct_grid(rng, h, w)
+    if kind == "ties4":
+        return rng.integers(0, 4, (h, w)) / 3.0
+    blocks = rng.integers(0, 256, (-(-h // 3), -(-w // 3)))  # 8-bit plateaus of up to 3x3 pixels
+    return np.kron(blocks, np.ones((3, 3)))[:h, :w] / 255.0
+
+
+def _perturb(rng, kind, grid, op):
+    """One small step: a monotone rescale keeps the pixel order, a nudge may change it."""
+    if op == "same":
+        return grid
+    if op == "rescale":
+        return grid * rng.uniform(0.9, 1.0)
+    if op == "ema":
+        return 0.5 * grid + 0.5 * np.clip(grid + rng.normal(0.0, 0.01, grid.shape), 0.0, 1.0)
+    out = grid.copy()
+    i = rng.integers(out.size)
+    if kind == "distinct":
+        out.flat[i] = np.clip(out.flat[i] + rng.normal(0.0, 0.05), 0.0, 1.0)
+    else:
+        levels = 3.0 if kind == "ties4" else 255.0
+        out.flat[i] = np.clip(np.rint(out.flat[i] * levels) + rng.choice([-1, 1]), 0, levels) / levels
+    return out
+
+
+class TestRecentPairings:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.sampled_from(["distinct", "ties4", "plateaus8"]),
+        st.sampled_from([SUBLEVEL, SUPERLEVEL]), st.sampled_from([4, 8]), st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(["rescale", "nudge", "ema"]),
+                           st.sampled_from(["same", "rescale", "ema", "nudge"])),
+                 min_size=1, max_size=8),
+    )
+    def test_reuse_equals_recomputation(self, h, w, kind, direction, connectivity, seed, steps):
+        # Student and teacher alternate as in topo_loss_and_gradient; the first step
+        # rescales the student, which keeps its pixel order, so at least one call reuses.
+        persistence._recent.clear()
+        rng = np.random.default_rng(seed)
+        student, teacher = _base_grid(rng, kind, h, w), _base_grid(rng, kind, h, w)
+        calls = 0
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as loop:
+            for i, (op_s, op_t) in enumerate([("same", "same")] + steps):
+                student = _perturb(rng, kind, student, "rescale" if i == 1 else op_s)
+                teacher = _perturb(rng, kind, teacher, op_t)
+                for grid in (student, teacher):
+                    got = compute_diagram(grid, direction, connectivity)
+                    calls += 1
+                    assert got == fresh_diagram(grid, direction, connectivity)
+            hits = calls - (loop.call_count - calls)  # every fresh_diagram call runs the loop
+        assert hits >= 1
+
+    def test_holds_at_most_two_entries(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            compute_diagram(random_distinct_grid(rng, 4, 4))
+        assert len(persistence._recent) == 2
+
+    def test_mutating_the_input_after_a_call(self):
+        grid = random_distinct_grid(np.random.default_rng(5), 6, 6)
+        original = grid.copy()
+        first = compute_diagram(grid)
+        grid *= 0.5  # same pixel order, new values
+        assert compute_diagram(grid) == fresh_diagram(grid, SUBLEVEL, 4)
+        assert first == fresh_diagram(original, SUBLEVEL, 4)
+        assert compute_diagram(original) == first
+
+    def test_shape_connectivity_and_direction(self):
+        # Equal pixel orders, different diagrams: the 2x3 and 3x2 framings pair differently,
+        # so do 4- and 8-connectivity, and the essential death follows the direction.
+        row = np.array([0.1, 0.9, 0.8, 0.2, 0.3, 0.7])
+        for grid, direction, connectivity in [(row.reshape(2, 3), SUBLEVEL, 4),
+                                              (row.reshape(3, 2), SUBLEVEL, 4),
+                                              (row.reshape(3, 2), SUBLEVEL, 8),
+                                              (np.full((3, 2), 0.5), SUBLEVEL, 4),
+                                              (np.full((3, 2), 0.5), SUPERLEVEL, 4)]:
+            got = compute_diagram(grid, direction, connectivity)
+            assert got == fresh_diagram(grid, direction, connectivity)
+
+
 def _spread(n, modulus=257):
     """n distinct integers in [0, modulus) from integer arithmetic (modulus prime, n <= modulus)."""
     return np.arange(n) * 7919 % modulus
@@ -334,6 +428,11 @@ class TestDiagramCsv:
         save_diagram_csv(PersistenceDiagram((dot,)), path)
         assert load_diagram_csv(path).dots == (dot,)
 
+    def test_padding_spaces_accepted(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_text("birth,death,birth_px,death_px,essential\n 0.1 ,0.9, 3 ,4,0\n")
+        assert load_diagram_csv(path).dots == (PersistentDot(0.1, 0.9, 3, 4),)
+
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "dgm.csv"
         path.write_bytes(b"\xff\xfebirth,death,birth_px,death_px,essential\n")
@@ -343,6 +442,7 @@ class TestDiagramCsv:
     @pytest.mark.parametrize("row", [
         "nan,0.9,0,1,0", "0.1,inf,0,1,0", "-inf,0.9,0,1,0", "-0.1,0.9,0,1,0",
         "0.1,1.5,0,1,0", "0.1,0.9,-1,1,0", "0.1,0.9,0,-2,0", "0.1,1,0,,2",
+        "0.1,0.9,1_0,1,0", "0.1,0.9_0,0,1,0", "0_0.1,0.9,0,1,0", "0.1,0.9,0,1_1,0", "0.1,1,0,,0_1",
     ])
     def test_rejects_invalid_values(self, tmp_path, row):
         path = tmp_path / "dgm.csv"
