@@ -128,7 +128,8 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     if magic not in (b"P2", b"P5"):
         raise GridFormatError(f"{path}: not a PGM file (magic {magic!r})")
     try:
-        if b"_" in b"".join(tokens[1:4]):  # int() reads Python's digit separators: b"1_0" is 10
+        header = b"".join(tokens[1:4])
+        if b"_" in header or b"+" in header:  # int() reads b"+1_0" as 10
             raise ValueError
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
@@ -141,7 +142,7 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     if magic == b"P2":
         raw = data[pos:].split()
         try:
-            if data.find(b"_", pos) >= 0:
+            if data.find(b"_", pos) >= 0 or data.find(b"+", pos) >= 0:
                 raise ValueError
             samples = np.array([int(t) for t in raw], dtype=np.int64)
         except ValueError:
@@ -172,11 +173,13 @@ def _read_csv_grid(path) -> np.ndarray:
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
     rows: list[list[float]] = []
-    underscore = "_" in text  # float() reads Python's digit separators: "0.2_5" is 0.25
+    # float() reads Python's digit separators and any Unicode digit: "0.2_5" and "٠.٥" are
+    # numbers to it. One scan of the whole text; the line is found in the loop.
+    suspect = "_" in text or not text.isascii()
     for ln, line in enumerate(text.splitlines(), start=1):
         cells = line.split(",")
         try:
-            if underscore and "_" in line:
+            if suspect and ("_" in line or not line.isascii()):
                 raise ValueError
             rows.append([float(c) for c in cells])
         except ValueError:

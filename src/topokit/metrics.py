@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import as_mask, label_components
+from .grid import ComponentLabeling, as_mask, label_components
 
 DEFAULT_WINDOW = 256
 
@@ -63,20 +63,21 @@ def betti_matching_error(pred, gt) -> int:
     (equivalently: an edge per co-occurring label pair). With M the maximum
     bipartite matching, the error is (|pred| - |M|) + (|gt| - |M|).
     """
+    pred, gt = _check_pair(pred, gt)
+    return _matching_error(label_components(pred, 4), label_components(gt, 4))
+
+
+def _matching_error(lp: ComponentLabeling, lg: ComponentLabeling) -> int:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    pred, gt = _check_pair(pred, gt)
-    lp = label_components(pred, 4)
-    lg = label_components(gt, 4)
-    inter = pred & gt
-    if not inter.any() or lp.count == 0 or lg.count == 0:
+    inter = (lp.labels > 0) & (lg.labels > 0)
+    if not inter.any():
         return lp.count + lg.count
-    edges = np.unique(
-        np.stack([lp.labels[inter], lg.labels[inter]], axis=1), axis=0
-    )
+    stride = lg.count + 1
+    edges = np.unique(lp.labels[inter].astype(np.int64) * stride + lg.labels[inter])
     biadj = csr_matrix(
-        (np.ones(len(edges), dtype=np.uint8), (edges[:, 0] - 1, edges[:, 1] - 1)),
+        (np.ones(edges.size, dtype=np.uint8), (edges // stride - 1, edges % stride - 1)),
         shape=(lp.count, lg.count),
     )
     match = maximum_bipartite_matching(biadj, perm_type="row")
@@ -91,8 +92,12 @@ def variation_of_information(pred, gt) -> float:
     components plus the entire background as one extra cluster.
     """
     pred, gt = _check_pair(pred, gt)
-    x = label_components(pred, 4).labels.ravel().astype(np.int64)
-    y = label_components(gt, 4).labels.ravel().astype(np.int64)
+    return _voi(label_components(pred, 4), label_components(gt, 4))
+
+
+def _voi(lp: ComponentLabeling, lg: ComponentLabeling) -> float:
+    x = lp.labels.ravel().astype(np.int64)
+    y = lg.labels.ravel().astype(np.int64)
     n = x.size
     stride = int(y.max()) + 1
     joint = np.bincount(x * stride + y)
@@ -108,10 +113,11 @@ def variation_of_information(pred, gt) -> float:
 
 def compute_metrics(pred, gt, window_size: int = DEFAULT_WINDOW) -> MetricReport:
     pred, gt = _check_pair(pred, gt)
+    lp, lg = label_components(pred, 4), label_components(gt, 4)
     return MetricReport(
         betti_error=betti_error(pred, gt, window_size),
-        betti_matching_error=betti_matching_error(pred, gt),
-        voi=variation_of_information(pred, gt),
+        betti_matching_error=_matching_error(lp, lg),
+        voi=_voi(lp, lg),
         window_size=int(window_size),
         window_count=window_count(pred.shape, int(window_size)),
     )

@@ -1,27 +1,47 @@
 """0-dimensional sublevel-set persistence of 2D grids.
 
-Pixels are inserted in the order of a stable argsort of their values
-(ties broken by row-major index) into a union-find forest, and each root
-stores the birth rank: the position in that order of its component's first
-pixel. When an inserted pixel joins two or more live components, the elder
-rule keeps the component with the smallest birth rank and kills the others;
-the inserted pixel is recorded as the death pixel of every killed
-component. A stable argsort ranks pixel a before b exactly when
-(value a, a) < (value b, b), so the smallest rank is the smallest
-(birth value, birth pixel) and no value is compared after the sort. The one
-component that never dies is reported as the essential dot with death
-pinned at 1.0.
+Pixels are inserted in the order of a stable argsort of their values (ties
+broken by row-major index); a pixel's rank is its position in that order.
+When an inserted pixel joins two or more live components, the elder rule
+keeps the component whose first pixel has the smallest rank and kills the
+others, and the inserted pixel is the death pixel of every killed component.
+A stable argsort ranks pixel a before b exactly when (value a, a) <
+(value b, b), so the smallest rank is the smallest (birth value, birth pixel)
+and no value is compared after the sort. The one component that never dies
+is reported as the essential dot with death pinned at 1.0.
 
-The forest is indexed over a frame: the grid plus a one-cell border that
-is never inserted. Every pixel then has the same neighbour offsets (up,
-down, left, right, then the four diagonals for 8-connectivity) and no
-bounds are checked. Roots are met in that neighbour order, which fixes the
-order in which the dots killed at one pixel are emitted.
+The kernel contracts basins first (the gradient pairing of Robins, Wood &
+Sheppard, IEEE TPAMI 2011), all in numpy:
+
+- Basins. Every pixel points at its lowest-ranked lower neighbour, a local
+  minimum at itself, and pointer jumping (p = p[p]) resolves each pointer
+  to a minimum. A pixel joins the component of the basin it descends into,
+  so only an edge between a pixel and a lower neighbour in another basin can
+  merge components. Basins are numbered in their minima's rank order, so the
+  elder of two components is the one with the smaller number.
+- Deduped edges. Those edges are keyed by (pixel rank, offset index). Of all
+  edges between the same two basins only the first in key order is kept:
+  every later one joins components that are already one.
+- The walk. A Python union-find over basin numbers takes the kept edges in
+  key order; each that joins two components kills the younger one. A pixel
+  with two or more kept edges (a possible multi-kill) instead scans the
+  basins of all its lower neighbours in offset order (up, down, left, right,
+  then the four diagonals for 8-connectivity), as a pixel-by-pixel
+  union-find would, so the dots killed at one pixel are emitted in the order
+  that scan meets their roots.
+
+Neighbours are read through a frame: the grid plus a one-cell border that
+ranks after every pixel and lies in no basin, so no bounds are checked. Dot
+values are read from the grid at the birth and death pixels only.
 
 The superlevel direction runs the same algorithm on 1 - v and reports
 births and deaths in original value coordinates, so a superlevel dot has
 birth >= death and the essential death is 0.0. Critical pixels always
 carry the exact source grid value.
+
+compute_diagram keeps the stable argsort (an ndarray) and the birth/death
+pixels of its two most recent calls; a call with the same shape,
+connectivity and argsort reuses those pixels and skips the kernel.
 """
 
 from __future__ import annotations
@@ -80,12 +100,16 @@ class PersistenceDiagram:
 
 
 # The two most recent pairings, newest first: (h, w, connectivity), the stable
-# argsort the loop iterated over, and the diagram it gave. Two because
-# topo_loss_and_gradient computes two diagrams per call, student and teacher.
+# argsort as an ndarray, and the birth and death pixels _pair gave for it. Two
+# because topo_loss_and_gradient computes two diagrams per call, student and teacher.
 # Entries are never changed and the list is replaced whole, so a concurrent caller
 # can at worst drop an entry, never read a mixed one.
-_recent: list[tuple[tuple[int, int, int], list[int], PersistenceDiagram]] = []
+_recent: list[tuple[tuple[int, int, int], np.ndarray, tuple[np.ndarray, np.ndarray]]] = []
 _RECENT_SIZE = 2
+
+# Neighbour offsets (row, column): up, down, left, right, then the four diagonals.
+_SHIFTS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+_CHUNK = 1 << 14  # elements per tolist() call, so no list spans a whole large grid
 
 
 def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
@@ -97,7 +121,7 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
     The pairing depends only on the shape, the connectivity and the stable
     argsort, so when those equal the ones of one of the two most recent
     calls, that call's birth/death pixels are reused in its emission order and
-    only the values are read from this grid, which gives the dots the loop
+    only the values are read from this grid, which gives the dots the kernel
     would give. No reference to the grid is kept.
     """
     values = as_likelihood(grid)
@@ -107,65 +131,148 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
     h, w = values.shape
     flat = values.ravel()
-    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
-    flat_l = flat.tolist()
-    ess_death = 0.0 if direction == SUPERLEVEL else 1.0
+    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable")
     key = (h, w, connectivity)
     recent = list(_recent)
     for i, entry in enumerate(recent):
-        if entry[0] == key and entry[1] == order:
-            del recent[i]
-            dots = tuple(
-                PersistentDot(flat_l[d.birth_pixel],
-                              ess_death if d.death_pixel is None else flat_l[d.death_pixel],
-                              d.birth_pixel, d.death_pixel)
-                for d in entry[2].dots
-            )
+        if entry[0] == key and np.array_equal(entry[1], order):
+            pixels = recent.pop(i)[2]
             break
     else:
-        dots = _pair(order, flat_l, h, w, connectivity, ess_death)
-    diagram = PersistenceDiagram(dots)
-    _recent[:] = [(key, order, diagram)] + recent[:_RECENT_SIZE - 1]
-    return diagram
+        pixels = _pair(order, h, w, connectivity)
+    _recent[:] = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
+    birth_px, death_px = pixels
+    births = flat[birth_px].tolist()
+    deaths = flat[death_px[:-1]].tolist() + [0.0 if direction == SUPERLEVEL else 1.0]
+    death_pxs = death_px[:-1].tolist() + [None]
+    dots = map(PersistentDot, births, deaths, birth_px.tolist(), death_pxs)
+    return PersistenceDiagram(tuple(dots))
 
 
-def _pair(order: list[int], flat_l: list[float], h: int, w: int, connectivity: int,
-          ess_death: float) -> tuple[PersistentDot, ...]:
-    """The union-find loop over pixels in the given order; values only label the dots."""
-    fw = w + 2  # frame width: the grid plus a one-cell border that is never inserted
-    offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
-    parent = [-1] * (fw * (h + 2))  # -1 marks a cell not yet inserted
-    birth = [0] * len(parent)  # at a root: the rank of its component's first pixel
-    dots: list[PersistentDot] = []
+def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Birth and death pixels of every dot in emission order, the essential dot last.
 
-    for i, px in enumerate(order):
-        cell = px + 2 * (px // w) + fw + 1
-        roots = []
-        for q in offsets:
-            q += cell
-            if parent[q] >= 0:
-                while parent[q] != q:  # find with path halving
-                    parent[q] = parent[parent[q]]
-                    q = parent[q]
-                if q not in roots:
-                    roots.append(q)
-        if not roots:
-            parent[cell] = cell
-            birth[cell] = i
-            continue
-        elder = roots[0]
-        if len(roots) > 1:
-            elder = min(roots, key=birth.__getitem__)
-            for q in roots:
-                if q != elder:
-                    bp = order[birth[q]]
-                    dots.append(PersistentDot(flat_l[bp], flat_l[px], bp, px))
-                    parent[q] = elder
-        parent[cell] = elder
+    The essential dot's death pixel reads -1. Basins are numbered in the order
+    of their minima's ranks, so the elder of two components is the one whose
+    root has the smaller number.
+    """
+    n = order.size
+    rank = np.empty(n, np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    rank = rank.reshape(h, w)
+    shifts = _SHIFTS[:connectivity]
+    frank = np.full((h + 2, w + 2), n, np.int32)  # the border ranks after every pixel
+    frank[1:-1, 1:-1] = rank
 
-    ess_px = order[0]  # global minimum under the tie-broken order never dies
-    dots.append(PersistentDot(flat_l[ess_px], ess_death, ess_px))
-    return tuple(dots)
+    def around(framed, dr, dc):  # each pixel's neighbour at (dr, dc), as an h x w view
+        return framed[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+
+    # Steepest descent: every rank points at its lowest-ranked lower neighbour, or at
+    # itself at a minimum; pointer jumping then leads each rank to its basin's minimum.
+    low = rank.copy()
+    for dr, dc in shifts:
+        np.minimum(low, around(frank, dr, dc), out=low)
+    ptr = low.ravel()[order]
+    is_min = ptr == np.arange(n, dtype=np.int32)
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    minima = np.flatnonzero(is_min)
+    number = np.cumsum(is_min, dtype=np.int32) - 1
+    basin = number[ptr]  # rank -> basin number
+    del low, is_min, nxt, ptr, number
+    fbasin = np.full((h + 2, w + 2), -1, np.int32)  # the border is in no basin
+    own = fbasin[1:-1, 1:-1]
+    own[...] = basin[rank]
+
+    # Every (pixel, lower neighbour in another basin) edge, keyed rank * connectivity
+    # + offset index. Of the edges between two basins only the first in key order can
+    # merge components: the later ones join components that are already one.
+    foreign = np.empty((n, connectivity), np.int32)  # rows in rank order, -1: no edge
+    for j, (dr, dc) in enumerate(shifts):
+        nb = around(fbasin, dr, dc)
+        foreign[:, j] = np.where((around(frank, dr, dc) < rank) & (nb != own), nb, -1).ravel()[order]
+    is_edge = foreign >= 0
+    b = foreign[is_edge]  # row-major: in key order
+    r = np.repeat(np.arange(n, dtype=np.int32), is_edge.sum(axis=1, dtype=np.int32))
+    del foreign, is_edge
+    a = basin[r]
+    pair = np.minimum(a, b).astype(np.int64)
+    pair *= minima.size
+    pair += np.maximum(a, b)
+    del a
+    by_pair = np.argsort(pair)
+    first = np.minimum.reduceat(by_pair, _run_starts(pair[by_pair]))
+    del pair, by_pair
+    first.sort()
+    r, b = r[first], b[first]
+
+    # A pixel with two or more kept edges may kill several components at once, in the
+    # order its neighbour scan meets their roots: it is marked a = -1 and scans the
+    # basins of all its lower neighbours, in offset order.
+    start = _run_starts(r)
+    multi = np.diff(start, append=r.size) > 1
+    r, b = r[start], b[start]
+    a = basin[r]
+    a[multi] = -1
+    mr = r[multi]
+    cell = order[mr]
+    cell += 2 * (cell // w) + w + 3  # row-major index in the framed arrays
+    scan = np.empty((mr.size, connectivity), np.int32)
+    for j, (dr, dc) in enumerate(shifts):
+        q = cell + dr * (w + 2) + dc
+        scan[:, j] = np.where(frank.ravel()[q] < mr, fbasin.ravel()[q], -1)
+    scans = (row for i in range(0, mr.size, _CHUNK) for row in scan[i:i + _CHUNK].tolist())
+
+    parent = list(range(minima.size))
+    dying: list[int] = []  # basin number of each killed component's root
+    death: list[int] = []  # rank of the pixel that killed it
+    for i in range(0, r.size, _CHUNK):
+        for rk, x, y in zip(r[i:i + _CHUNK].tolist(), a[i:i + _CHUNK].tolist(),
+                            b[i:i + _CHUNK].tolist()):
+            if x < 0:
+                roots = []
+                for q in next(scans):
+                    if q >= 0:
+                        while parent[q] != q:  # find with path halving
+                            parent[q] = parent[parent[q]]
+                            q = parent[q]
+                        if q not in roots:
+                            roots.append(q)
+                elder = min(roots)
+                for q in roots:
+                    if q != elder:
+                        parent[q] = elder
+                        dying.append(q)
+                        death.append(rk)
+                continue
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                dying.append(y)
+                death.append(rk)
+
+    dying.append(0)  # basin 0 holds the global minimum, which never dies
+    birth_px = order[minima[np.array(dying, dtype=np.int64)]]
+    death_px = np.append(order[np.array(death, dtype=np.int64)], -1)
+    return birth_px, death_px
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values."""
+    new = np.empty(values.size, bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
@@ -222,7 +329,8 @@ def load_diagram_csv(path) -> PersistenceDiagram:
         if len(row) != 5:
             raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
         try:
-            if "_" in "".join(row):  # float() and int() read Python's digit separators
+            text = "".join(row)
+            if "_" in text or not text.isascii():  # float() and int() read "1_0" and "١٠" as 10
                 raise ValueError
             birth, death = float(row[0]), float(row[1])
             birth_px = int(row[2])

@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded grids, the replay diagram oracle and brute-force matching oracles."""
+"""Shared test helpers: seeded grids, the diagram oracles and brute-force matching oracles."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from topokit.grid import as_likelihood
+from topokit.grid import SUBLEVEL, SUPERLEVEL, as_likelihood
 from topokit.persistence import PersistenceDiagram, PersistentDot
 
 ORACLE_PIXEL_LIMIT = 400
@@ -66,6 +66,56 @@ def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
 
     (ess_px, ess_birth), = comps.items()
     dots.append(PersistentDot(ess_birth, 1.0, ess_px))
+    return PersistenceDiagram(tuple(dots))
+
+
+def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
+    """Order-exact reference: the pixel-by-pixel union-find that compute_diagram replaces.
+
+    Inserts every pixel in stable-argsort order into a forest over the grid plus
+    a one-cell border, meets the roots of its inserted neighbours in offset order
+    (up, down, left, right, then the diagonals), keeps the root with the smallest
+    birth rank and kills the others in the order met. compute_diagram must give
+    the same dots in the same order.
+    """
+    values = as_likelihood(grid)
+    h, w = values.shape
+    flat = values.ravel()
+    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
+    flat_l = flat.tolist()
+    fw = w + 2
+    offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
+    parent = [-1] * (fw * (h + 2))  # -1 marks a cell not yet inserted
+    birth = [0] * len(parent)  # at a root: the rank of its component's first pixel
+    dots: list[PersistentDot] = []
+
+    for i, px in enumerate(order):
+        cell = px + 2 * (px // w) + fw + 1
+        roots = []
+        for q in offsets:
+            q += cell
+            if parent[q] >= 0:
+                while parent[q] != q:  # find with path halving
+                    parent[q] = parent[parent[q]]
+                    q = parent[q]
+                if q not in roots:
+                    roots.append(q)
+        if not roots:
+            parent[cell] = cell
+            birth[cell] = i
+            continue
+        elder = roots[0]
+        if len(roots) > 1:
+            elder = min(roots, key=birth.__getitem__)
+            for q in roots:
+                if q != elder:
+                    bp = order[birth[q]]
+                    dots.append(PersistentDot(flat_l[bp], flat_l[px], bp, px))
+                    parent[q] = elder
+        parent[cell] = elder
+
+    ess_px = order[0]  # global minimum under the tie-broken order never dies
+    dots.append(PersistentDot(flat_l[ess_px], 0.0 if direction == SUPERLEVEL else 1.0, ess_px))
     return PersistenceDiagram(tuple(dots))
 
 

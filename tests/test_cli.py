@@ -139,6 +139,16 @@ class TestPd:
         path.write_text(text)
         assert_data_error(*run_cli(capsys, "pd", str(path)))
 
+    @pytest.mark.parametrize("name, text", [
+        ("g.csv", "0.1,\u0660.\u0665\n0.3,0.4\n"),
+        ("g.pgm", "P2\n2 2\n255\n+5 20 30 40\n"),
+        ("h.pgm", "P2\n+2 2\n255\n10 20 30 40\n"),
+    ])
+    def test_non_ascii_digits_and_signs_return_two(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert_data_error(*run_cli(capsys, "pd", str(path)))
+
 
 class TestDecompose:
     def test_split_and_json(self, capsys, tmp_path, quad_grid):
@@ -236,6 +246,12 @@ class TestWasserstein:
     def test_digit_separators_return_two(self, capsys, tmp_path, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n")
+        assert_data_error(*run_cli(capsys, "wasserstein", str(bad), str(bad)))
+
+    @pytest.mark.parametrize("row", ["0.1,0.9,\u0661,2,0", "\u0660.\u0662,0.9,0,1,0"])
+    def test_non_ascii_digits_return_two(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n", encoding="utf-8")
         assert_data_error(*run_cli(capsys, "wasserstein", str(bad), str(bad)))
 
     def test_missing_diagram_returns_two(self, capsys, tmp_path):

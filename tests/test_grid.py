@@ -183,6 +183,17 @@ class TestPgm:
         with pytest.raises(GridFormatError, match=message):
             load_grid(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("P2\n+2 1\n10\n5 1\n", "malformed PGM header"),
+        ("P2\n2 1\n+10\n5 1\n", "malformed PGM header"),
+        ("P2\n2 1\n10\n5 +1\n", "non-integer sample"),
+    ])
+    def test_signs_rejected(self, tmp_path, text, message):
+        path = tmp_path / "sign.pgm"
+        path.write_text(text)
+        with pytest.raises(GridFormatError, match=message):
+            load_grid(path)
+
     def test_underscores_in_comments_and_binary_rasters_accepted(self, tmp_path):
         path = tmp_path / "ok.pgm"
         path.write_bytes(b"P5 # scan_01\n2 1\n255\n" + b"_\x00")
@@ -214,6 +225,14 @@ class TestCsv:
     def test_digit_separators_rejected_with_line(self, tmp_path, cell):
         path = tmp_path / "g.csv"
         path.write_text(f"0.1,0.9\n0.2,{cell}\n")
+        with pytest.raises(GridFormatError, match="line 2: unparseable cell"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("cell", ["\u0660.\u0665", "0.\uff15", "0.5\u00a0"])
+    def test_non_ascii_rejected_with_line(self, tmp_path, cell):
+        # Arabic-Indic and fullwidth digits and a no-break space all pass float().
+        path = tmp_path / "g.csv"
+        path.write_text(f"0.1,0.9\n0.2,{cell}\n", encoding="utf-8")
         with pytest.raises(GridFormatError, match="line 2: unparseable cell"):
             load_grid(path)
 

@@ -1,6 +1,7 @@
 """Union-find diagram computation against the replay oracle and worked cases."""
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from topokit.persistence import (
     save_diagram_csv,
 )
 
-from _support import ORACLE_PIXEL_LIMIT, oracle_diagram, random_distinct_grid
+from _support import ORACLE_PIXEL_LIMIT, loop_diagram, oracle_diagram, random_distinct_grid
 
 
 def dot_tuples(diagram):
@@ -236,6 +237,36 @@ def _perturb(rng, kind, grid, op):
     return out
 
 
+class TestLoopReference:
+    """compute_diagram against the pixel-by-pixel union-find, dots and emission order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  st.tuples(st.just(1), st.integers(1, 40)),
+                  st.tuples(st.integers(1, 40), st.just(1))),
+        st.sampled_from(["distinct", "ties4", "plateaus8"]),
+        st.sampled_from([SUBLEVEL, SUPERLEVEL]), st.sampled_from([4, 8]), st.integers(0, 2**32 - 1),
+    )
+    def test_dots_equal_the_loop_in_order(self, shape, kind, direction, connectivity, seed):
+        grid = _base_grid(np.random.default_rng(seed), kind, *shape)
+        got = compute_diagram(grid, direction, connectivity)
+        assert got.dots == loop_diagram(grid, direction, connectivity).dots
+
+    def test_peak_memory_on_random_512(self):
+        # The pixel-by-pixel loop peaked at 29.7 MiB here (Python lists of the argsort,
+        # the values and a parent and birth slot per framed cell); the basin kernel at
+        # 23.3 MiB, of which the returned 52,714 dots hold about 14.
+        grid = np.random.default_rng(0).random((512, 512))
+        tracemalloc.start()
+        try:
+            compute_diagram(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 2**20
+
+
 class TestRecentPairings:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -305,6 +336,13 @@ FROZEN_GRIDS = {
     "single-1x1": np.array([[0.5]]),
     # Sublevel, 4-connected: the centre pixel kills the three younger arms at once.
     "kill3-3x3": np.array([[1.0, 0.25, 1.0], [0.25, 0.5, 0.25], [1.0, 0.25, 1.0]]),
+    # Sublevel, 4-connected: the centre kills three of four arms, meeting their roots
+    # in neither birth order nor lowest-neighbour-first order.
+    "kill3-crossed-5x5": np.array([[1.0, 1.0, 0.1, 1.0, 1.0],
+                                   [1.0, 1.0, 0.55, 1.0, 1.0],
+                                   [0.25, 0.5, 0.9, 0.6, 0.2],
+                                   [1.0, 1.0, 0.65, 1.0, 1.0],
+                                   [1.0, 1.0, 0.15, 1.0, 1.0]]),
 }
 
 # SHA-256 of format_diagram_csv(compute_diagram(grid, direction, connectivity)),
@@ -340,6 +378,11 @@ FROZEN_DIGESTS = {
     "kill3-3x3-sublevel-8": "cd7b25a0f0fdd55fe0df4d8e05eb71cc97cb9f8e4b1e26809d13b40799422010",
     "kill3-3x3-superlevel-4": "f59670bf096e87cec674eae5a8706fec6507c9a14a677af863f67c6d3f64a765",
     "kill3-3x3-superlevel-8": "50197d01df526b1ce32e24d8ed81e0c9df4eb4c611137b0b6b1992cbe180b12a",
+    # Recorded with the pixel-by-pixel union-find (now loop_diagram in _support).
+    "kill3-crossed-5x5-sublevel-4": "afbd218460785279fdbb2f408a241005e002b27ac44e485f14c276f62fd35faf",
+    "kill3-crossed-5x5-sublevel-8": "2e4f646798b262e68c41c42fea0094255eb789696b234b3d866da9f9e3b8f343",
+    "kill3-crossed-5x5-superlevel-4": "346db41ec48ad228818a50fc4b8571b80e46ec492547678db5e1ecea212d00d0",
+    "kill3-crossed-5x5-superlevel-8": "82537d763200e593558410b6567938071023e0d97b77800ffad4cf9fba11011c",
 }
 
 
@@ -355,6 +398,14 @@ class TestFrozenBytes:
         # pixel index (all arms tie at 0.25), and the others die in that order.
         dots = compute_diagram(FROZEN_GRIDS["kill3-3x3"]).dots
         assert [(d.birth_pixel, d.death_pixel) for d in dots] == [(7, 4), (3, 4), (5, 4), (1, None)]
+
+    def test_one_pixel_kills_three_in_scan_order_not_pairwise(self):
+        # Arms: up born 0.1 (pixel 2), down 0.15 (22), left 0.25 (10), right 0.2 (14). The
+        # centre's scan meets up, down, left, right; up is the elder, the others die in
+        # scan order. Merging one edge at a time would kill left first: 10, 22, 14 in
+        # offset order, or 10, 14, 22 taking the lowest neighbour first.
+        dots = compute_diagram(FROZEN_GRIDS["kill3-crossed-5x5"]).dots
+        assert [d.birth_pixel for d in dots if d.death_pixel == 12] == [22, 10, 14]
 
 
 class TestSuperlevel:
@@ -443,9 +494,10 @@ class TestDiagramCsv:
         "nan,0.9,0,1,0", "0.1,inf,0,1,0", "-inf,0.9,0,1,0", "-0.1,0.9,0,1,0",
         "0.1,1.5,0,1,0", "0.1,0.9,-1,1,0", "0.1,0.9,0,-2,0", "0.1,1,0,,2",
         "0.1,0.9,1_0,1,0", "0.1,0.9_0,0,1,0", "0_0.1,0.9,0,1,0", "0.1,0.9,0,1_1,0", "0.1,1,0,,0_1",
+        "\u0660.1,0.9,0,1,0", "0.1,0.9,\u0661,2,0", "0.1,0.9,0,\uff12,0", "0.1,1,0,,\u0661",
     ])
     def test_rejects_invalid_values(self, tmp_path, row):
         path = tmp_path / "dgm.csv"
-        path.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n")
+        path.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n", encoding="utf-8")
         with pytest.raises(GridFormatError, match="line 2"):
             load_diagram_csv(path)
