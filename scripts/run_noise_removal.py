@@ -6,6 +6,11 @@ noise dents (persistence ~ 0.11-0.12). Driving only the noise-removal term
 of the topological loss contracts every dent onto the diagonal while the
 deep minima stay put. The run prints the removal-loss decay and the final
 diagram decomposition, and writes the per-step trace as CSV.
+
+Each side of a decomposition is a diagram of numpy columns, one row per
+dot: birth, death, birth_px and death_px, with death_px -1 for the
+essential dot. The printout reads those columns; diagram.dots would build
+the same rows as PersistentDot objects.
 """
 
 import argparse
@@ -35,14 +40,14 @@ def parse_args():
 
 
 def describe(decomposition, label):
-    print(f"{label}: {len(decomposition.signal.dots)} signal dots, "
-          f"{len(decomposition.noise.dots)} noise dots")
-    for dot in decomposition.signal.dots:
-        print(f"  signal (birth={dot.birth:.4f}, death={dot.death:.4f}, "
-              f"persistence={dot.persistence:.4f})")
-    if decomposition.noise.dots:
-        worst = max(dot.persistence for dot in decomposition.noise.dots)
-        print(f"  worst noise persistence: {worst:.3e}")
+    signal, noise = decomposition.signal, decomposition.noise
+    print(f"{label}: {len(signal)} signal dots, {len(noise)} noise dots")
+    for birth, death, persistence in zip(signal.birth.tolist(), signal.death.tolist(),
+                                         signal.persistence.tolist()):
+        print(f"  signal (birth={birth:.4f}, death={death:.4f}, "
+              f"persistence={persistence:.4f})")
+    if len(noise):
+        print(f"  worst noise persistence: {float(noise.persistence.max()):.3e}")
 
 
 def main():

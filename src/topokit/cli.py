@@ -93,8 +93,8 @@ def _cmd_decompose(args) -> int:
     save_diagram_csv(dec.signal, args.signal_out)
     save_diagram_csv(dec.noise, args.noise_out)
     _emit_json([
-        ("signal_dots", len(dec.signal.dots)),
-        ("noise_dots", len(dec.noise.dots)),
+        ("signal_dots", len(dec.signal)),
+        ("noise_dots", len(dec.noise)),
         ("phi", float(dec.phi)),
     ])
     return 0

@@ -27,17 +27,18 @@ def decompose(diagram: PersistenceDiagram, phi: float = DEFAULT_PHI) -> Decompos
     phi = float(phi)
     if not 0.0 <= phi < math.inf:
         raise ValueError(f"persistence threshold must be finite and nonnegative, got {phi}")
-    signal = tuple(d for d in diagram.dots if d.persistence > phi)
-    noise = tuple(d for d in diagram.dots if d.persistence <= phi)
-    return DecomposedDiagram(PersistenceDiagram(signal), PersistenceDiagram(noise), phi)
+    b, d, bp, dp = diagram.birth, diagram.death, diagram.birth_px, diagram.death_px
+    persistence = diagram.persistence
+    signal, noise = persistence > phi, persistence <= phi
+    return DecomposedDiagram(PersistenceDiagram(b[signal], d[signal], bp[signal], dp[signal]),
+                             PersistenceDiagram(b[noise], d[noise], bp[noise], dp[noise]), phi)
 
 
 def total_persistence(diagram: PersistenceDiagram, p: float = 1.0) -> float:
-    """(sum of persistence^p)^(1/p) over all dots; 0 for an empty diagram."""
+    """(sum of persistence^p)^(1/p) over all dots, the maximum at p = inf; 0 when empty."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # also rejects NaN
         raise ValueError(f"order p must be >= 1, got {p}")
-    if not diagram.dots:
-        return 0.0
-    total = sum(d.persistence ** p for d in diagram.dots)
-    return float(total ** (1.0 / p))
+    if math.isinf(p):
+        return float(diagram.persistence.max(initial=0.0))
+    return float((diagram.persistence ** p).sum() ** (1.0 / p))

@@ -19,6 +19,8 @@ supported only on critical pixels; contributions at a shared pixel add up.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,43 +117,39 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
     dec_s = decompose(compute_diagram(s, direction, connectivity), phi)
     dec_t = decompose(compute_diagram(t, direction, connectivity), phi)
     matching = match_diagrams(dec_s.signal, dec_t.signal, p=2.0)
-    grad = np.zeros_like(s)
-    gflat = grad.ravel()
+    signal, noise, teacher_signal = dec_s.signal, dec_s.noise, dec_t.signal
 
-    cons = 0.0
-    target_of = {li: ri for li, ri in matching.pairs if li != DIAGONAL}
-    for i, dot in enumerate(dec_s.signal.dots):
-        ri = target_of[i]
-        if ri == DIAGONAL:
-            tb = td = 0.5 * (dot.birth + dot.death)
-        else:
-            tdot = dec_t.signal.dots[ri]
-            tb, td = tdot.birth, tdot.death
-        db = dot.birth - tb
-        cons += db * db
-        gflat[dot.birth_pixel] += 2.0 * db
-        if dot.death_pixel is not None:
-            dd = dot.death - td
-            cons += dd * dd
-            gflat[dot.death_pixel] += 2.0 * dd
+    # Each signal dot is pulled to its matched teacher dot, or else to its diagonal projection.
+    # The essential dot has no death term: its death difference is zeroed, which leaves
+    # every sum unchanged, and its death pixel, -1, lands in a spare last gradient slot.
+    pairs = np.array(matching.pairs, dtype=np.int64).reshape(-1, 2)
+    li, ri = pairs[(pairs != DIAGONAL).all(axis=1)].T
+    tb = 0.5 * (signal.birth + signal.death)
+    td = tb.copy()
+    tb[li], td[li] = teacher_signal.birth[ri], teacher_signal.death[ri]
+    db, dd = signal.birth - tb, (signal.death - td) * (signal.death_px >= 0)
+    cons = _sum_in_order(db * db, dd * dd)
+    if noise_mode == NOISE_SQUARED:
+        b, d = noise.birth, noise.death * (noise.death_px >= 0)
+        rem = _sum_in_order(b * b, d * d)
+        steps = 2.0 * np.concatenate((db, dd, b, d))
+    else:
+        gap = noise.death - noise.birth  # death is a constant for essential dots
+        rem = _sum_in_order(0.5 * gap * gap)
+        steps = np.concatenate((2.0 * np.concatenate((db, dd)), -gap, gap))
 
-    rem = 0.0
-    for dot in dec_s.noise.dots:
-        if noise_mode == NOISE_SQUARED:
-            rem += dot.birth * dot.birth
-            gflat[dot.birth_pixel] += 2.0 * dot.birth
-            if dot.death_pixel is not None:
-                rem += dot.death * dot.death
-                gflat[dot.death_pixel] += 2.0 * dot.death
-        else:
-            gap = dot.death - dot.birth  # death is a constant for essential dots
-            rem += 0.5 * gap * gap
-            gflat[dot.birth_pixel] -= gap
-            if dot.death_pixel is not None:
-                gflat[dot.death_pixel] += gap
-
+    # Birth pixels are distinct minima and no death pixel is one, so adding births first and
+    # deaths after meets each pixel's contributions in dot order, signal before noise.
+    grad = np.zeros(s.size + 1)
+    pixels = (signal.birth_px, signal.death_px, noise.birth_px, noise.death_px)
+    np.add.at(grad, np.concatenate(pixels), steps)
     report = TopoLossReport(cons, rem, cons + rem, matching, dec_s, dec_t)
-    return report, grad
+    return report, grad[:-1].reshape(s.shape)
+
+
+def _sum_in_order(*columns: np.ndarray) -> float:
+    """0.0 plus each dot's entries in column order, dot after dot (np.sum would add pairwise)."""
+    return functools.reduce(operator.add, np.array(columns).T.ravel().tolist(), 0.0)
 
 
 def finite_difference_check(student, teacher, phi: float = DEFAULT_PHI,
@@ -183,19 +181,16 @@ def finite_difference_check(student, teacher, phi: float = DEFAULT_PHI,
         raise ValueError(f"h={h} too large: values within h of the [0, 1] boundary")
 
     report, grad = topo_loss_and_gradient(s, t, phi, direction, connectivity, noise_mode)
-    critical: set[int] = set()
-    for side in (report.student_decomposition.signal, report.student_decomposition.noise):
-        for dot in side.dots:
-            critical.add(dot.birth_pixel)
-            if dot.death_pixel is not None:
-                critical.add(dot.death_pixel)
+    signal, noise = report.student_decomposition.signal, report.student_decomposition.noise
+    critical = np.union1d(np.append(signal.birth_px, signal.death_px),
+                          np.append(noise.birth_px, noise.death_px))
 
     def loss_at(values: np.ndarray) -> float:
         rep, _ = topo_loss_and_gradient(values, t, phi, direction, connectivity, noise_mode)
         return rep.topo_loss
 
     max_err = 0.0
-    for px in sorted(critical):
+    for px in critical[critical >= 0].tolist():
         plus = s.copy()
         plus.flat[px] += h
         minus = s.copy()

@@ -48,8 +48,8 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"order p must be >= 1 (math.inf for bottleneck), got {p}")
-    lpts = np.array([[d.birth, d.death] for d in left.dots], dtype=np.float64).reshape(-1, 2)
-    rpts = np.array([[d.birth, d.death] for d in right.dots], dtype=np.float64).reshape(-1, 2)
+    lpts = np.array((left.birth, left.death)).T
+    rpts = np.array((right.birth, right.death)).T
     for side, pts in (("left", lpts), ("right", rpts)):
         if not np.isfinite(pts).all():
             i = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])

@@ -39,6 +39,10 @@ births and deaths in original value coordinates, so a superlevel dot has
 birth >= death and the essential death is 0.0. Critical pixels always
 carry the exact source grid value.
 
+A diagram is four read-only numpy columns, one row per dot: birth and death
+(float64), birth_px and death_px (int64), with death_px -1 for the essential
+dot. Its dots property is a derived view that builds PersistentDot objects.
+
 compute_diagram keeps the stable argsort (an ndarray) and the birth/death
 pixels of its two most recent calls; a call with the same shape,
 connectivity and argsort reuses those pixels and skips the kernel.
@@ -52,51 +56,60 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DIRECTIONS, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood, format_real
+from .grid import DIRECTIONS, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
 
 DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
 
 
 @dataclass(frozen=True)
 class PersistentDot:
-    """One connected-component feature: birth/death values and critical pixels.
-
-    birth_pixel is the component's minimum; death_pixel is the pixel whose
-    insertion merged it away. A dot is essential exactly when it has no
-    death pixel. The grid value at each critical pixel equals the stored
-    birth/death exactly.
-    """
+    """One row of a PersistenceDiagram, with death_pixel None for the essential dot."""
 
     birth: float
     death: float
     birth_pixel: int
     death_pixel: int | None = None
 
-    @property
-    def essential(self) -> bool:
-        return self.death_pixel is None
 
-    @property
-    def persistence(self) -> float:
-        """Life span |death - birth| (death - birth for sublevel diagrams)."""
-        return abs(self.death - self.birth)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
-    """Dots in emission order; compute_diagram puts the essential dot last."""
+    """Dots as columns (see the module docstring); compute_diagram puts the essential dot last.
 
-    dots: tuple[PersistentDot, ...]
+    The constructor takes numpy arrays of those dtypes and marks them read-only:
+    compute_diagram's pixel columns are the very arrays it remembers for reuse.
+    """
+
+    birth: np.ndarray
+    death: np.ndarray
+    birth_px: np.ndarray
+    death_px: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.dots)
+        return len(self.birth)
+
+    def __eq__(self, other):  # the generated one would take the truth value of an array
+        return isinstance(other, PersistenceDiagram) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
     @property
-    def essential_dot(self) -> PersistentDot | None:
-        for dot in self.dots:
-            if dot.essential:
-                return dot
-        return None
+    def essential(self) -> np.ndarray:
+        return self.death_px < 0
+
+    @property
+    def persistence(self) -> np.ndarray:
+        """|death - birth| of every dot (death - birth for sublevel diagrams)."""
+        return np.abs(self.death - self.birth)
+
+    @property
+    def dots(self) -> tuple[PersistentDot, ...]:
+        """The rows as PersistentDot objects, built on each access."""
+        death_px = np.where(self.essential, None, self.death_px)
+        return tuple(map(PersistentDot, self.birth.tolist(), self.death.tolist(),
+                         self.birth_px.tolist(), death_px.tolist()))
 
 
 # The two most recent pairings, newest first: (h, w, connectivity), the stable
@@ -141,12 +154,9 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
     else:
         pixels = _pair(order, h, w, connectivity)
     _recent[:] = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
-    birth_px, death_px = pixels
-    births = flat[birth_px].tolist()
-    deaths = flat[death_px[:-1]].tolist() + [0.0 if direction == SUPERLEVEL else 1.0]
-    death_pxs = death_px[:-1].tolist() + [None]
-    dots = map(PersistentDot, births, deaths, birth_px.tolist(), death_pxs)
-    return PersistenceDiagram(tuple(dots))
+    death = flat[pixels[1]]  # the essential dot's -1 reads the last pixel, overwritten next
+    death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
+    return PersistenceDiagram(flat[pixels[0]], death, *pixels)
 
 
 def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,14 +292,10 @@ def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
     whenever birth <= c, which also covers c = 1. Sublevel diagrams only.
     """
     c = float(c)
-    count = 0
-    for dot in diagram.dots:
-        if dot.essential:
-            if dot.birth <= c:
-                count += 1
-        elif dot.birth <= c < dot.death:
-            count += 1
-    return count
+    if not np.isfinite(c):
+        raise ValueError(f"threshold must be finite, got {c}")
+    alive = (diagram.birth <= c) & ((c < diagram.death) | diagram.essential)
+    return int(np.count_nonzero(alive))
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +303,11 @@ def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
 # ---------------------------------------------------------------------------
 
 def format_diagram_csv(diagram: PersistenceDiagram) -> str:
-    """The diagram as CSV text: header line, then one row per dot."""
-    lines = [",".join(DIAGRAM_CSV_HEADER)]
-    for dot in diagram.dots:
-        death_px = "" if dot.death_pixel is None else str(dot.death_pixel)
-        lines.append(
-            f"{format_real(dot.birth)},{format_real(dot.death)},"
-            f"{dot.birth_pixel},{death_px},{1 if dot.essential else 0}"
-        )
-    return "\n".join(lines) + "\n"
+    """The diagram as CSV text: a header line, then one row per dot (%.9g as format_real)."""
+    death_px = np.where(diagram.essential, "", diagram.death_px.astype(object))
+    cells = np.array((diagram.birth, diagram.death, diagram.birth_px, death_px,
+                      diagram.essential.astype(np.int64)), dtype=object).T.ravel().tolist()
+    return ",".join(DIAGRAM_CSV_HEADER) + "\n" + "%.9g,%.9g,%d,%s,%d\n" * len(diagram) % tuple(cells)
 
 
 def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
@@ -325,7 +327,7 @@ def load_diagram_csv(path) -> PersistenceDiagram:
     if not rows or rows[0] != DIAGRAM_CSV_HEADER:
         raise GridFormatError(f"{path}: missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
     dots = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in enumerate(rows[1:], start=2):  # in file order: the first bad line is reported
         if len(row) != 5:
             raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
         try:
@@ -346,5 +348,6 @@ def load_diagram_csv(path) -> PersistenceDiagram:
             raise GridFormatError(f"{path}: line {ln}: essential must be 0 or 1, got {row[4]!r}")
         if essential != (death_px is None):
             raise GridFormatError(f"{path}: line {ln}: essential flag and death_px disagree")
-        dots.append(PersistentDot(birth, death, birth_px, death_px))
-    return PersistenceDiagram(tuple(dots))
+        dots.append((birth, death, birth_px, -1 if death_px is None else death_px))
+    columns = zip(*dots) if dots else ((),) * 4
+    return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))

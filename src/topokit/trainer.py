@@ -179,8 +179,8 @@ def run_simulation(student_init_logits, config: TrainConfig,
             pixel_loss=pixel,
             cons_loss=report.cons_loss,
             rem_loss=report.rem_loss,
-            signal_dots=len(dec.signal.dots),
-            noise_dots=len(dec.noise.dots),
+            signal_dots=len(dec.signal),
+            noise_dots=len(dec.noise),
         ))
     trace.final_student = expit(theta_s)
     trace.final_teacher = expit(theta_t)

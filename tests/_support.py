@@ -66,7 +66,7 @@ def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
 
     (ess_px, ess_birth), = comps.items()
     dots.append(PersistentDot(ess_birth, 1.0, ess_px))
-    return PersistenceDiagram(tuple(dots))
+    return diagram_from_dots(dots)
 
 
 def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
@@ -116,18 +116,22 @@ def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> Pers
 
     ess_px = order[0]  # global minimum under the tie-broken order never dies
     dots.append(PersistentDot(flat_l[ess_px], 0.0 if direction == SUPERLEVEL else 1.0, ess_px))
-    return PersistenceDiagram(tuple(dots))
+    return diagram_from_dots(dots)
+
+
+def diagram_from_dots(dots) -> PersistenceDiagram:
+    """The diagram whose rows are the given PersistentDots; no death pixel reads -1."""
+    rows = [(d.birth, d.death, d.birth_pixel, -1 if d.death_pixel is None else d.death_pixel)
+            for d in dots]
+    columns = zip(*rows) if rows else ((),) * 4
+    return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))
 
 
 def diagram_from_pairs(pairs, essential_index: int | None = None) -> PersistenceDiagram:
     """Wrap bare (birth, death) pairs in a diagram with dummy pixel indices."""
-    dots = []
-    for i, (b, d) in enumerate(pairs):
-        dots.append(PersistentDot(
-            birth=float(b), death=float(d), birth_pixel=i,
-            death_pixel=None if i == essential_index else 1000 + i,
-        ))
-    return PersistenceDiagram(dots=tuple(dots))
+    return diagram_from_dots(
+        PersistentDot(float(b), float(d), i, None if i == essential_index else 1000 + i)
+        for i, (b, d) in enumerate(pairs))
 
 
 def random_diagram_pairs(rng, max_dots: int = 4):

@@ -108,7 +108,7 @@ def test_criterion_02_betti_curve_matches_component_counts():
 
 def test_criterion_03_quad_grid_finite_dot():
     diagram = compute_diagram(np.array([[0.42, 0.46, 0.30, 0.90]]))
-    finite = [(d.birth, d.death) for d in diagram.dots if not d.essential]
+    finite = [(d.birth, d.death) for d in diagram.dots if d.death_pixel is not None]
     assert finite == [(0.42, 0.46)]
 
 
@@ -193,7 +193,7 @@ def test_criterion_07_noise_removal_flattens_all_dents():
     before = decompose(compute_diagram(grid), 0.7)
     assert len(before.signal.dots) == 3
     assert len(before.noise.dots) == 10
-    assert all(d.persistence < 0.7 for d in before.noise.dots)
+    assert (before.noise.persistence < 0.7).all()
 
     config = TrainConfig(
         steps=500,
@@ -211,8 +211,7 @@ def test_criterion_07_noise_removal_flattens_all_dents():
 
     after = decompose(compute_diagram(trace.final_student), 0.7)
     assert len(after.signal.dots) == 3
-    remnants = [d for d in after.noise.dots if d.persistence > 1e-3]
-    assert remnants == []
+    assert not (after.noise.persistence > 1e-3).any()
     assert time.perf_counter() - start < 60.0
 
 

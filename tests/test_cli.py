@@ -103,7 +103,7 @@ class TestPd:
         assert out == ""
         diagram = load_diagram_csv(out_path)
         assert len(diagram.dots) == 2
-        assert diagram.essential_dot.birth == pytest.approx(0.3)
+        assert diagram.birth[diagram.essential].tolist() == [pytest.approx(0.3)]
 
     @pytest.mark.parametrize("direction,connectivity", [("sublevel", "4"), ("superlevel", "8")])
     def test_stdout_and_file_bytes_identical(self, capsys, tmp_path, direction, connectivity):

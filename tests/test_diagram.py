@@ -5,7 +5,7 @@ import math
 import pytest
 
 from topokit.diagram import decompose, total_persistence
-from topokit.persistence import PersistentDot
+from topokit.persistence import compute_diagram
 
 from _support import diagram_from_pairs
 
@@ -17,15 +17,15 @@ def make_diagram():
 
 class TestPersistenceOf:
     def test_plain_dot(self):
-        assert PersistentDot(0.2, 0.9, 0, 1).persistence == pytest.approx(0.7)
+        assert diagram_from_pairs([(0.2, 0.9)]).persistence.tolist() == [pytest.approx(0.7)]
 
     def test_diagonal_dot(self):
-        assert PersistentDot(0.5, 0.5, 0, 1).persistence == 0.0
+        assert diagram_from_pairs([(0.5, 0.5)]).persistence.tolist() == [0.0]
 
     def test_essential_dot(self):
-        dot = PersistentDot(0.1, 1.0, 0)
-        assert dot.essential
-        assert dot.persistence == pytest.approx(0.9)
+        diagram = diagram_from_pairs([(0.2, 0.4), (0.1, 1.0)], essential_index=1)
+        assert diagram.essential.tolist() == [False, True]
+        assert diagram.persistence.tolist() == [pytest.approx(0.2), pytest.approx(0.9)]
 
 
 class TestDecompose:
@@ -107,3 +107,13 @@ class TestTotalPersistence:
         diagram = diagram_from_pairs([(0.2, 0.9), (0.4, 0.45)])
         expected = math.sqrt(0.7**2 + 0.05**2)
         assert total_persistence(diagram, 2) == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_order_rejected(self):
+        with pytest.raises(ValueError, match="order p"):
+            total_persistence(make_diagram(), math.nan)
+
+    def test_infinite_order_is_largest_persistence(self):
+        diagram = compute_diagram([[0.1, 0.9, 0.3], [0.8, 0.95, 0.7], [0.2, 0.85, 0.4]])
+        assert total_persistence(diagram, math.inf) == 1.0 - 0.1  # the essential dot
+        assert total_persistence(diagram_from_pairs([(0.2, 0.4)]), math.inf) == 0.4 - 0.2
+        assert total_persistence(diagram_from_pairs([]), math.inf) == 0.0

@@ -1,5 +1,6 @@
 """Pixel and topological losses, analytic gradients, finite-difference check."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from topokit.losses import (
     supervised_loss,
     topo_loss_and_gradient,
 )
+from topokit.scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
+from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation
 
 from _support import random_distinct_grid
 
@@ -193,6 +196,16 @@ class TestTopoConsistency:
                 report.cons_loss + report.rem_loss, abs=1e-15
             )
 
+    def test_fortran_ordered_grids_get_the_same_gradient(self):
+        rng = np.random.default_rng(12)
+        student, teacher = random_distinct_grid(rng, 6, 8), random_distinct_grid(rng, 6, 8)
+        report, grad = topo_loss_and_gradient(student, teacher, phi=0.3)
+        f_report, f_grad = topo_loss_and_gradient(np.asfortranarray(student),
+                                                  np.asfortranarray(teacher), phi=0.3)
+        assert grad.any()
+        assert np.array_equal(f_grad, grad)
+        assert f_report.topo_loss == report.topo_loss
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             topo_loss_and_gradient([[0.1, 0.2]], [[0.1], [0.2]])
@@ -255,3 +268,82 @@ class TestFiniteDifferenceCheck:
         grid = [[0.0, 0.5]]
         with pytest.raises(ValueError, match="boundary"):
             finite_difference_check(grid, grid, h=1e-5)
+
+
+def _frozen_pair(name):
+    """Seeded (student, teacher) grids: distinct values, six-level ties, a smooth field."""
+    rng = np.random.default_rng({"distinct-9x8": 101, "ties6-8x7": 102, "smooth-12x12": 103}[name])
+    if name == "distinct-9x8":
+        return random_distinct_grid(rng, 9, 8), random_distinct_grid(rng, 9, 8)
+    if name == "ties6-8x7":
+        return rng.integers(0, 6, (8, 7)) / 5.0, rng.integers(0, 6, (8, 7)) / 5.0
+    y, x = np.mgrid[0:12, 0:12]
+    smooth = 0.5 + 0.4 * np.sin(y / 2.3) * np.cos(x / 1.7)
+    return smooth, np.clip(smooth + rng.normal(0.0, 0.05, smooth.shape), 0.0, 1.0)
+
+
+def _trace_digest(trace):
+    blob = repr(trace.records).encode() + trace.final_student.tobytes() + trace.final_teacher.tobytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _frozen_trace(scenario):
+    if scenario == "noise-removal":
+        config = TrainConfig(steps=50, learning_rate=0.1, ema_decay=0.0, lambda_u2=1.0,
+                             ramp_k=0.0, noise_mode=NOISE_DIAGONAL)
+        return run_simulation(likelihood_to_logits(noise_removal_grid()), config)
+    teacher = three_basin_teacher()
+    config = TrainConfig(steps=50, learning_rate=0.5, strong_noise_sigma=0.5)
+    return run_simulation(perturbed_student_logits(teacher, sigma=0.5, seed=7), config,
+                          likelihood_to_logits(teacher))
+
+
+# SHA-256 of the gradient's bytes followed by repr((cons, rem)), at phi = 0.3, and of
+# 50-step traces (repr of every StepRecord, then the final student and teacher bytes),
+# recorded with the loss loop that visited one dot at a time. They pin the order of
+# every floating-point addition in the loss and its gradient.
+FROZEN_LOSS_DIGESTS = {
+    "distinct-9x8/diagonal/sublevel/4": "da5ce20d412a15930aa41f3a7f7ce495558c761956d57f9dc9d5e6608ccc943b",
+    "distinct-9x8/diagonal/sublevel/8": "44c0b7e32b12d2a81a9c0cb966a82140ecff718e0483b30dd12382d9f6dfe2c7",
+    "distinct-9x8/diagonal/superlevel/4": "57ce52c1a26dc90be32f6388119ddabf50aec516ba56f74121d079e4a0627b9d",
+    "distinct-9x8/diagonal/superlevel/8": "57d6c98cc799d9e933b83b3445477b0088b6a602dfe2225b584f9f6c6aecdc42",
+    "distinct-9x8/squared-values/sublevel/4": "062b1e37170732946d69f2b341c8c39412ed7d92698080aac8927beff1a77ff0",
+    "distinct-9x8/squared-values/sublevel/8": "d8455c711b7799bf8312c7027653f85ae926ae1f13ecf8a609301571ca0990af",
+    "distinct-9x8/squared-values/superlevel/4": "74755cdc7ec053f37e7f74ad5556af75066ab09246411f9f717b436dc713f4b8",
+    "distinct-9x8/squared-values/superlevel/8": "02c970b152041eacec39465756a82c60f8261e979980e844869a3cc5c83d8d57",
+    "smooth-12x12/diagonal/sublevel/4": "0d02d7011995955b8d66143981ed6d9a0058d944d1c1f91e3671a60af568eae9",
+    "smooth-12x12/diagonal/sublevel/8": "9eb4e5a597809ebee22b6339b672831e4b84660a0476ac98bd1951a84fd1076d",
+    "smooth-12x12/diagonal/superlevel/4": "fd5e1f582006914e5f22b5c1e99d89baf19958b2d40df91c967965d177f1ba3d",
+    "smooth-12x12/diagonal/superlevel/8": "232211d0d0ef0caff5c2055e264ad1920afecb7ea4ae3879bb98c603581ec3e2",
+    "smooth-12x12/squared-values/sublevel/4": "8317c5bf06e91c6b4bdef019015b9c55f71b7a85f27151d92b699f22a9b0c34a",
+    "smooth-12x12/squared-values/sublevel/8": "60f4d8f65fae6baa5a11d34279f1034c3597f0895e26ee96b39abc41389f731c",
+    "smooth-12x12/squared-values/superlevel/4": "fd5e1f582006914e5f22b5c1e99d89baf19958b2d40df91c967965d177f1ba3d",
+    "smooth-12x12/squared-values/superlevel/8": "232211d0d0ef0caff5c2055e264ad1920afecb7ea4ae3879bb98c603581ec3e2",
+    "ties6-8x7/diagonal/sublevel/4": "4fe99accb6afd6bb653b37e13c7eb3f0aa88a6b2c7112cffc860d19f9d1ece7c",
+    "ties6-8x7/diagonal/sublevel/8": "81119b1b736eb694e060cae4ac82d087672e31b8ca8431b4f9953cd1f71c46ef",
+    "ties6-8x7/diagonal/superlevel/4": "82b2c44fe50fc892dd977f18dd15916b7b10cecc05d8115422be4429a5a21b05",
+    "ties6-8x7/diagonal/superlevel/8": "06c52bda396a7c5d0072a8ba0192cc8798719413c871e1a150d1de7495204b95",
+    "ties6-8x7/squared-values/sublevel/4": "617aa824c7f4156eec27f5c23fb74533ec3e8a5368725e48462fa15bbbd0d11b",
+    "ties6-8x7/squared-values/sublevel/8": "5e7b85e5c2e25219c090260fd25a088f8aa6ace105f398cacec71eaae8e67e9b",
+    "ties6-8x7/squared-values/superlevel/4": "541c76acecda9a378cced08dcf4c368c2d9443afe087119c20f355fc410484d0",
+    "ties6-8x7/squared-values/superlevel/8": "2a0efec29a21b9475fef67f5cf45eac6e519f74908bb435f3caf744b33a3651f",
+}
+FROZEN_TRACE_DIGESTS = {
+    "noise-removal": "149e682a3b643c3b58c50070ce3d1774b1bd5187b93aed2aa4b80d0f30c0afad",
+    "three-basins": "c27c940e9984535b9962902f4945de4b379242b07162c72a22da99e73689f18d",
+}
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("case", sorted(FROZEN_LOSS_DIGESTS))
+    def test_loss_and_gradient_digest(self, case):
+        name, mode, direction, connectivity = case.split("/")
+        student, teacher = _frozen_pair(name)
+        report, grad = topo_loss_and_gradient(student, teacher, 0.3, direction,
+                                              int(connectivity), mode)
+        blob = grad.tobytes() + repr((report.cons_loss, report.rem_loss)).encode()
+        assert hashlib.sha256(blob).hexdigest() == FROZEN_LOSS_DIGESTS[case]
+
+    @pytest.mark.parametrize("scenario", sorted(FROZEN_TRACE_DIGESTS))
+    def test_trainer_trace_digest(self, scenario):
+        assert _trace_digest(_frozen_trace(scenario)) == FROZEN_TRACE_DIGESTS[scenario]

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from topokit.matching import DIAGONAL, match_diagrams
-from topokit.persistence import PersistenceDiagram, PersistentDot
+from topokit.persistence import PersistenceDiagram
 
 from _support import (
     brute_assignment_cost,
@@ -187,7 +187,8 @@ class TestArgumentValidation:
 
 
 def many_dots(count: int) -> PersistenceDiagram:
-    return PersistenceDiagram(tuple(PersistentDot(0.25, 0.75, i, i + 1) for i in range(count)))
+    return PersistenceDiagram(np.full(count, 0.25), np.full(count, 0.75),
+                              np.arange(count), np.arange(1, count + 1))
 
 
 class TestSizeGuard:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topokit import persistence
-from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, label_components, threshold
+from topokit.grid import (
+    SUBLEVEL,
+    SUPERLEVEL,
+    GridFormatError,
+    format_real,
+    label_components,
+    threshold,
+)
 from topokit.persistence import (
     PersistenceDiagram,
     PersistentDot,
@@ -21,14 +28,18 @@ from topokit.persistence import (
     save_diagram_csv,
 )
 
-from _support import ORACLE_PIXEL_LIMIT, loop_diagram, oracle_diagram, random_distinct_grid
+from _support import (
+    ORACLE_PIXEL_LIMIT,
+    diagram_from_dots,
+    loop_diagram,
+    oracle_diagram,
+    random_distinct_grid,
+)
 
 
 def dot_tuples(diagram):
-    return sorted(
-        (d.birth, d.death, d.birth_pixel, d.death_pixel, d.essential)
-        for d in diagram.dots
-    )
+    return sorted(zip(diagram.birth.tolist(), diagram.death.tolist(),
+                      diagram.birth_px.tolist(), diagram.death_px.tolist()))
 
 
 class TestWorkedExamples:
@@ -40,11 +51,10 @@ class TestWorkedExamples:
         assert (finite.birth, finite.death) == (0.2, 0.9)
         assert finite.birth_pixel == 2
         assert finite.death_pixel == 1
-        assert not finite.essential
         assert (essential.birth, essential.death) == (0.1, 1.0)
         assert essential.birth_pixel == 0
         assert essential.death_pixel is None
-        assert essential.essential
+        assert diagram.essential.tolist() == [False, True]
 
     def test_three_by_three_matches_oracle_exactly(self):
         grid = [[0.1, 0.9, 0.2], [0.9, 0.9, 0.9], [0.9, 0.9, 0.9]]
@@ -64,7 +74,7 @@ class TestWorkedExamples:
         diagram = compute_diagram(np.full((3, 5), 0.5))
         assert len(diagram) == 1
         dot = diagram.dots[0]
-        assert (dot.birth, dot.death, dot.birth_pixel, dot.essential) == (0.5, 1.0, 0, True)
+        assert (dot.birth, dot.death, dot.birth_pixel, dot.death_pixel) == (0.5, 1.0, 0, None)
 
     def test_constant_two_by_two_oracle(self):
         grid = [[0.3, 0.3], [0.3, 0.3]]
@@ -75,9 +85,19 @@ class TestWorkedExamples:
         rng = np.random.default_rng(2)
         grid = random_distinct_grid(rng, 6, 6)
         diagram = compute_diagram(grid)
-        assert diagram.dots[-1].essential
-        assert not any(d.essential for d in diagram.dots[:-1])
-        assert diagram.essential_dot is diagram.dots[-1]
+        assert diagram.essential.tolist() == [False] * (len(diagram) - 1) + [True]
+        assert diagram.dots[-1].death_pixel is None
+
+    def test_columns_are_read_only_and_survive_a_reuse(self):
+        grid = random_distinct_grid(np.random.default_rng(4), 5, 6)
+        first = compute_diagram(grid)
+        pixels = first.birth_px.copy()
+        for column in (first.birth, first.death, first.birth_px, first.death_px):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        again = compute_diagram(grid)  # reuses the remembered pairing
+        assert np.array_equal(again.birth_px, pixels)
+        assert again == first
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -90,6 +110,12 @@ class TestBettiCurve:
         assert betti_curve(diagram, 0.5) == 2
         assert betti_curve(diagram, 0.95) == 1
         assert betti_curve(diagram, 0.05) == 0
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, c):
+        diagram = compute_diagram([[0.1, 0.9, 0.2], [0.9, 0.9, 0.9], [0.9, 0.9, 0.9]])
+        with pytest.raises(ValueError, match="finite"):
+            betti_curve(diagram, c)
 
     def test_essential_counts_at_one(self):
         diagram = compute_diagram([[0.1, 0.9, 0.2], [0.9, 0.9, 0.9], [0.9, 0.9, 0.9]])
@@ -188,12 +214,23 @@ class TestStructuralInvariants:
                     minima += is_min
             assert len(compute_diagram(grid)) == minima
 
+    def test_birth_pixels_are_distinct_and_never_death_pixels(self):
+        # topo_loss_and_gradient relies on this to add all births before all deaths.
+        rng = np.random.default_rng(30)
+        for levels in (0, 3, 8):
+            for _ in range(20):
+                grid = rng.integers(0, levels, (7, 6)) / (levels - 1) if levels else rng.random((7, 6))
+                for direction in (SUBLEVEL, SUPERLEVEL):
+                    for connectivity in (4, 8):
+                        diagram = compute_diagram(grid, direction, connectivity)
+                        assert np.unique(diagram.birth_px).size == len(diagram)
+                        assert not np.isin(diagram.birth_px, diagram.death_px).any()
+
     def test_exactly_one_essential(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             grid = rng.uniform(0.0, 1.0, (5, 5))
-            dots = compute_diagram(grid).dots
-            assert sum(d.essential for d in dots) == 1
+            assert compute_diagram(grid).essential.sum() == 1
 
     def test_determinism(self):
         grid = np.random.default_rng(37).uniform(0.0, 1.0, (9, 9))
@@ -423,15 +460,13 @@ class TestSuperlevel:
 
     def test_essential_death_is_zero(self):
         sup = compute_diagram([[0.2, 0.8], [0.6, 0.4]], SUPERLEVEL)
-        essential = sup.essential_dot
-        assert essential.death == 0.0
-        assert essential.birth == 0.8
+        assert sup.death[sup.essential].tolist() == [0.0]
+        assert sup.birth[sup.essential].tolist() == [0.8]
 
     def test_persistence_uses_absolute_gap(self):
         sup = compute_diagram([[0.2, 0.8], [0.6, 0.4]], SUPERLEVEL)
-        for dot in sup.dots:
-            assert dot.persistence == abs(dot.death - dot.birth)
-            assert dot.persistence >= 0.0
+        assert sup.persistence.tolist() == [abs(d - b) for b, d in zip(sup.birth, sup.death)]
+        assert (sup.persistence >= 0.0).all()
 
 
 class TestDiagramCsv:
@@ -441,13 +476,21 @@ class TestDiagramCsv:
         path = tmp_path / "dgm.csv"
         save_diagram_csv(diagram, path)
         back = load_diagram_csv(path)
-        assert len(back) == len(diagram)
-        for a, b in zip(back.dots, diagram.dots):
-            assert a.birth == pytest.approx(b.birth, abs=1e-9)
-            assert a.death == pytest.approx(b.death, abs=1e-9)
-            assert a.birth_pixel == b.birth_pixel
-            assert a.death_pixel == b.death_pixel
-            assert a.essential == b.essential
+        assert np.allclose(back.birth, diagram.birth, rtol=0.0, atol=1e-9)
+        assert np.allclose(back.death, diagram.death, rtol=0.0, atol=1e-9)
+        assert np.array_equal(back.birth_px, diagram.birth_px)
+        assert np.array_equal(back.death_px, diagram.death_px)
+
+    def test_rows_render_reals_like_format_real(self):
+        rng = np.random.default_rng(44)
+        birth = np.concatenate((rng.random(50), [0.0, 1.0, 1e-300, 5e-324, 0.1 + 0.2]))
+        death = rng.random(birth.size)
+        death_px = np.append(rng.integers(0, 10**6, birth.size - 1), -1)
+        diagram = PersistenceDiagram(birth, death, np.arange(birth.size), death_px)
+        rows = format_diagram_csv(diagram).splitlines()[1:]
+        assert rows == [f"{format_real(d.birth)},{format_real(d.death)},{d.birth_pixel},"
+                        f"{'' if d.death_pixel is None else d.death_pixel},{int(d.death_pixel is None)}"
+                        for d in diagram.dots]
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "dgm.csv"
@@ -474,10 +517,11 @@ class TestDiagramCsv:
 
     def test_dot_without_death_pixel_is_essential_and_round_trips(self, tmp_path):
         dot = PersistentDot(0.25, 1.0, 3)
-        assert dot.essential
         path = tmp_path / "dgm.csv"
-        save_diagram_csv(PersistenceDiagram((dot,)), path)
-        assert load_diagram_csv(path).dots == (dot,)
+        save_diagram_csv(diagram_from_dots([dot]), path)
+        back = load_diagram_csv(path)
+        assert back.dots == (dot,)
+        assert back.essential.tolist() == [True]
 
     def test_padding_spaces_accepted(self, tmp_path):
         path = tmp_path / "dgm.csv"

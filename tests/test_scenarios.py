@@ -24,20 +24,19 @@ class TestNoiseRemovalGrid:
         assert grid.min() >= 0.0 and grid.max() <= 1.0
         diagram = compute_diagram(grid)
         assert len(diagram.dots) == 3 + DENT_COUNT
-        essential = diagram.essential_dot
-        assert essential.birth == pytest.approx(0.03, abs=1e-12)
-        assert essential.death == 1.0
+        assert diagram.birth[diagram.essential].tolist() == [pytest.approx(0.03, abs=1e-12)]
+        assert diagram.death[diagram.essential].tolist() == [1.0]
 
     def test_decomposition_at_default_threshold(self):
         dec = decompose(compute_diagram(noise_removal_grid()), 0.7)
         assert len(dec.signal.dots) == 3
         assert len(dec.noise.dots) == DENT_COUNT
-        noise_pers = sorted(round(d.persistence, 12) for d in dec.noise.dots)
+        noise_pers = sorted(round(p, 12) for p in dec.noise.persistence.tolist())
         assert noise_pers == pytest.approx(
             [0.111, 0.112, 0.113, 0.114, 0.115, 0.116, 0.117, 0.118, 0.119, 0.12],
             abs=1e-12,
         )
-        signal_pers = sorted(d.persistence for d in dec.signal.dots)
+        signal_pers = sorted(dec.signal.persistence.tolist())
         assert signal_pers == pytest.approx([0.874, 0.879, 0.97], abs=1e-12)
 
     def test_deterministic(self):
@@ -50,7 +49,7 @@ class TestThreeBasinTeacher:
         assert grid.shape == (GRID_SIZE, GRID_SIZE)
         diagram = compute_diagram(grid)
         assert len(diagram.dots) == 3
-        pers = sorted(d.persistence for d in diagram.dots)
+        pers = sorted(diagram.persistence.tolist())
         assert pers == pytest.approx([0.878, 0.882, 0.95], abs=1e-12)
         dec = decompose(diagram, 0.7)
         assert len(dec.signal.dots) == 3
