@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .diagram import DEFAULT_PHI, decompose
 from .grid import (
@@ -24,6 +23,7 @@ from .grid import (
     format_real,
     load_grid,
     load_mask_pgm,
+    save_csv_table,
     save_grid_pgm,
 )
 from .losses import (
@@ -64,11 +64,21 @@ def _emit_json(items: list[tuple[str, object]]) -> None:
     print(json.dumps(obj))
 
 
+def _strict(parse):  # float() and int() read "1_0" and non-ASCII digits; the loaders do not
+    def strict(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return parse(text)
+    strict.__name__ = parse.__name__  # argparse says "invalid float value: ..."
+    return strict
+
+
+_FLOAT, _INT = _strict(float), _strict(int)
+
+
 def _parse_order(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        p = float(text)
+        p = _FLOAT(text)  # "inf" and "infinity", in any case, read as math.inf
     except ValueError:
         raise _UsageError(f"invalid order p: {text!r}") from None
     if math.isnan(p) or p < 1.0:
@@ -105,9 +115,7 @@ def _cmd_wasserstein(args) -> int:
     right = load_diagram_csv(args.right)
     result = match_diagrams(left, right, _parse_order(args.p))
     if args.pairs_out:
-        lines = ["left_idx,right_idx"]
-        lines += [f"{li},{ri}" for li, ri in result.pairs]
-        Path(args.pairs_out).write_text("\n".join(lines) + "\n")
+        save_csv_table(result.pairs, args.pairs_out, "%d", "left_idx,right_idx")
     _emit_json([("distance", float(result.cost))])
     return 0
 
@@ -119,8 +127,7 @@ def _cmd_loss(args) -> int:
         student, teacher, args.phi, args.direction, args.connectivity, args.noise_mode
     )
     if args.grad_out:
-        lines = [",".join(format_real(v) for v in row) for row in grad]
-        Path(args.grad_out).write_text("\n".join(lines) + "\n")
+        save_csv_table(grad, args.grad_out)  # not a likelihood grid: no save_grid_csv
     _emit_json([
         ("cons", float(report.cons_loss)),
         ("rem", float(report.rem_loss)),
@@ -214,7 +221,7 @@ def _add_grid_io_flags(sub: argparse.ArgumentParser) -> None:
                      help="input grid format (default: inferred from extension)")
     sub.add_argument("--direction", choices=DIRECTIONS, default=SUBLEVEL,
                      help="filtration direction (default: %(default)s)")
-    sub.add_argument("--connectivity", type=int, choices=(4, 8), default=4,
+    sub.add_argument("--connectivity", type=_INT, choices=(4, 8), default=4,
                      help="foreground connectivity (default: %(default)s)")
 
 
@@ -233,7 +240,7 @@ def build_parser() -> _Parser:
     dec = subs.add_parser("decompose", help="split a diagram into signal and noise")
     dec.add_argument("grid")
     _add_grid_io_flags(dec)
-    dec.add_argument("--phi", type=float, default=DEFAULT_PHI,
+    dec.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
                      help="persistence threshold (default: %(default)s)")
     dec.add_argument("--signal-out", required=True, help="signal diagram CSV path")
     dec.add_argument("--noise-out", required=True, help="noise diagram CSV path")
@@ -251,7 +258,7 @@ def build_parser() -> _Parser:
     loss.add_argument("--student", required=True)
     loss.add_argument("--teacher", required=True)
     _add_grid_io_flags(loss)
-    loss.add_argument("--phi", type=float, default=DEFAULT_PHI,
+    loss.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
                       help="persistence threshold (default: %(default)s)")
     loss.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED,
                       help="noise-removal variant (default: %(default)s)")
@@ -262,19 +269,19 @@ def build_parser() -> _Parser:
     gc.add_argument("--student", required=True)
     gc.add_argument("--teacher", required=True)
     _add_grid_io_flags(gc)
-    gc.add_argument("--phi", type=float, default=DEFAULT_PHI,
+    gc.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
                     help="persistence threshold (default: %(default)s)")
     gc.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED)
-    gc.add_argument("--h", type=float, default=1e-5,
+    gc.add_argument("--h", type=_FLOAT, default=1e-5,
                     help="central-difference step (default: %(default)s)")
-    gc.add_argument("--tolerance", type=float, default=1e-3,
+    gc.add_argument("--tolerance", type=_FLOAT, default=1e-3,
                     help="max relative error allowed (default: %(default)s)")
     gc.set_defaults(func=_cmd_grad_check)
 
     met = subs.add_parser("metrics", help="topology metrics between two PGM masks")
     met.add_argument("--pred", required=True)
     met.add_argument("--gt", required=True)
-    met.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+    met.add_argument("--window", type=_INT, default=DEFAULT_WINDOW,
                      help="window size for the windowed component-count error "
                           "(default: %(default)s)")
     met.set_defaults(func=_cmd_metrics)
@@ -286,27 +293,27 @@ def build_parser() -> _Parser:
     demo.add_argument("--init", default=None, help="student init likelihood grid (PGM/CSV)")
     demo.add_argument("--teacher-init", default=None,
                       help="teacher init likelihood grid (default: copy of the student)")
-    demo.add_argument("--steps", type=int, default=100, help="default: %(default)s")
-    demo.add_argument("--eta", type=float, default=0.1,
+    demo.add_argument("--steps", type=_INT, default=100, help="default: %(default)s")
+    demo.add_argument("--eta", type=_FLOAT, default=0.1,
                       help="learning rate (default: %(default)s)")
-    demo.add_argument("--alpha", type=float, default=0.999,
+    demo.add_argument("--alpha", type=_FLOAT, default=0.999,
                       help="teacher EMA decay (default: %(default)s)")
-    demo.add_argument("--phi", type=float, default=DEFAULT_PHI,
+    demo.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
                       help="persistence threshold (default: %(default)s)")
-    demo.add_argument("--lambda-u2", type=float, default=0.002,
+    demo.add_argument("--lambda-u2", type=_FLOAT, default=0.002,
                       help="topological loss weight (default: %(default)s)")
-    demo.add_argument("--ramp-k", type=float, default=0.1,
+    demo.add_argument("--ramp-k", type=_FLOAT, default=0.1,
                       help="pixel consistency ramp-up ceiling (default: %(default)s)")
-    demo.add_argument("--sigma", type=float, default=0.0,
+    demo.add_argument("--sigma", type=_FLOAT, default=0.0,
                       help="strong-view logit noise std (default: %(default)s)")
     demo.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED)
-    demo.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+    demo.add_argument("--seed", type=_INT, default=0, help="default: %(default)s")
     demo.add_argument("--topo-on-perturbed", action="store_true",
                       help="feed the strong view (not the clean one) to the topological loss")
     demo.add_argument("--labeled-mask", default=None, help="optional supervision mask (PGM)")
-    demo.add_argument("--w1", type=float, default=0.5,
+    demo.add_argument("--w1", type=_FLOAT, default=0.5,
                       help="supervised cross-entropy weight (default: %(default)s)")
-    demo.add_argument("--w2", type=float, default=0.5,
+    demo.add_argument("--w2", type=_FLOAT, default=0.5,
                       help="supervised Dice weight (default: %(default)s)")
     demo.add_argument("--trace-out", default="demo_trace.csv", help="default: %(default)s")
     demo.add_argument("--student-out", default="demo_student.pgm", help="default: %(default)s")
@@ -320,13 +327,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return 1
-    try:
+        if getattr(args, "func", None) is None:
+            parser.print_help()
+            return 1
         return int(args.func(args))
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

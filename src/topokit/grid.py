@@ -10,6 +10,7 @@ All functions here are pure: they never mutate their inputs.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ import numpy as np
 SUBLEVEL = "sublevel"
 SUPERLEVEL = "superlevel"
 DIRECTIONS = (SUBLEVEL, SUPERLEVEL)
+REAL_FORMAT = "%.9g"  # how every writer renders a real
 
 _STRUCTURE = {
     4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
@@ -41,7 +43,7 @@ class ComponentLabeling(NamedTuple):
 
 def format_real(x: float) -> str:
     """Canonical 9-significant-digit rendering used by every writer."""
-    return f"{float(x):.9g}"
+    return REAL_FORMAT % float(x)
 
 
 def as_likelihood(values) -> np.ndarray:
@@ -101,29 +103,22 @@ def label_components(mask, connectivity: int = 4) -> ComponentLabeling:
 # file formats: PGM (P2 ascii / P5 binary) and headerless CSV
 # ---------------------------------------------------------------------------
 
+# A PGM header token after any whitespace and comments, then a comment right after it. A
+# comment runs to its newline; after maxval, that newline is the byte before a P5 raster.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)(?:#[^\n]*)?")
+
+
 def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     """Parse a PGM file into (height x width int array, maxval)."""
     path = Path(path)
     data = path.read_bytes()
-    tokens: list[bytes] = []
-    pos = 0
-    whitespace = b" \t\r\n\x0b\x0c"
-    while len(tokens) < 4:
-        if pos >= len(data):
+    tokens, pos = [], 0
+    for _ in range(4):  # magic, width, height, maxval
+        match = _PGM_TOKEN.match(data, pos)
+        if not match[1]:
             raise GridFormatError(f"{path}: truncated PGM header")
-        ch = data[pos]
-        if ch in whitespace:
-            pos += 1
-            continue
-        if ch == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-            continue
-        end = pos
-        while end < len(data) and data[end] not in whitespace and data[end] != ord("#"):
-            end += 1
-        tokens.append(data[pos:end])
-        pos = end
+        tokens.append(match[1])
+        pos = match.end()
     magic = tokens[0]
     if magic not in (b"P2", b"P5"):
         raise GridFormatError(f"{path}: not a PGM file (magic {magic!r})")
@@ -214,10 +209,14 @@ def load_grid(path, fmt: str | None = None) -> np.ndarray:
     return as_likelihood(_read_csv_grid(path))
 
 
+def save_csv_table(values, path, fmt: str = REAL_FORMAT, header: str = "") -> None:
+    """Write a 2D array as rows of comma-separated fmt cells, after the header line if given."""
+    with open(path, "w") as fh:  # given a path, np.savetxt would gzip one that ends in .gz
+        np.savetxt(fh, values, fmt=fmt, delimiter=",", header=header, comments="")
+
+
 def save_grid_csv(grid, path) -> None:
-    grid = as_likelihood(grid)
-    lines = [",".join(format_real(v) for v in row) for row in grid]
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_csv_table(as_likelihood(grid), path)
 
 
 def _write_p2(samples: np.ndarray, path, maxval: int) -> None:

@@ -122,8 +122,7 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
     # Each signal dot is pulled to its matched teacher dot, or else to its diagonal projection.
     # The essential dot has no death term: its death difference is zeroed, which leaves
     # every sum unchanged, and its death pixel, -1, lands in a spare last gradient slot.
-    pairs = np.array(matching.pairs, dtype=np.int64).reshape(-1, 2)
-    li, ri = pairs[(pairs != DIAGONAL).all(axis=1)].T
+    li, ri = matching.pairs[(matching.pairs != DIAGONAL).all(axis=1)].T
     tb = 0.5 * (signal.birth + signal.death)
     td = tb.copy()
     tb[li], td[li] = teacher_signal.birth[ri], teacher_signal.death[ri]

@@ -12,7 +12,8 @@ bottleneck ground metric is the Chebyshev (max) norm, the convention under
 which the diagram of a perturbed grid stays within the perturbation bound;
 the diagonal gap is then |death - birth| / 2.
 
-Essential dots participate like any other dot.
+Essential dots participate like any other dot. The matched pairs are one
+read-only (k, 2) int64 array, in the row order DiagramMatching states.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ DIAGONAL = -1
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == would take the truth value of an array
 class DiagramMatching:
-    """Pairs of (left index, right index), DIAGONAL = -1 for the diagonal.
+    """pairs: a read-only (k, 2) int64 array of (left index, right index), DIAGONAL = -1.
 
-    Every left and every right dot appears in exactly one pair; purely
-    diagonal pairs are dropped. cost is the matched W_p distance (the
-    maximum pair distance when p is infinite).
+    Every dot is in exactly one row; purely diagonal pairs are dropped. W_p lists the
+    left dots in index order, then the right dots sent to the diagonal; the bottleneck
+    lists the right dots in column order, then the left dots sent to the diagonal. cost
+    is the matched W_p distance (the maximum pair distance when p is infinite).
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     cost: float
     p: float
 
@@ -56,7 +58,7 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
             raise ValueError(f"{side} dot {i} has a non-finite birth or death: "
                              f"({pts[i, 0]!r}, {pts[i, 1]!r})")
     if lpts.shape[0] == 0 and rpts.shape[0] == 0:
-        return DiagramMatching((), 0.0, p)
+        return DiagramMatching(_pairs_from_assignment(*np.empty((2, 0), np.int64), 0, 0), 0.0, p)
     if math.isinf(p):
         pairs, cost = _bottleneck(lpts, rpts)
     else:
@@ -64,16 +66,13 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
     return DiagramMatching(pairs, cost, p)
 
 
-def _pairs_from_assignment(rows, cols, n: int, m: int) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for r, c in zip(rows, cols):
-        if r < n and c < m:
-            pairs.append((int(r), int(c)))
-        elif r < n:
-            pairs.append((int(r), DIAGONAL))
-        elif c < m:
-            pairs.append((DIAGONAL, int(c)))
-    return tuple(pairs)
+def _pairs_from_assignment(rows: np.ndarray, cols: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The assigned (row, col) cells in order as pairs; a diagonal copy's index reads DIAGONAL."""
+    keep = (rows < n) | (cols < m)  # a diagonal copy assigned to a diagonal copy is no pair
+    pairs = np.array((rows[keep], cols[keep]), dtype=np.int64).T
+    pairs[pairs >= (n, m)] = DIAGONAL
+    pairs.setflags(write=False)
+    return pairs
 
 
 _MAX_MATRIX_BYTES = 1 << 30  # the dense (n+m)^2 float64 matrix: n + m <= 11585
@@ -147,5 +146,4 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
             lo = mid + 1
         else:
             best, hi = found, mid
-    rows = best.tolist()
-    return _pairs_from_assignment(rows, range(len(rows)), len(lpts), len(rpts)), float(candidates[hi])
+    return _pairs_from_assignment(best, np.arange(best.size), len(lpts), len(rpts)), float(candidates[hi])

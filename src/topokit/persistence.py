@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DIRECTIONS, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
+from .grid import DIRECTIONS, REAL_FORMAT, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
 
 DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
 
@@ -303,11 +303,12 @@ def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
 # ---------------------------------------------------------------------------
 
 def format_diagram_csv(diagram: PersistenceDiagram) -> str:
-    """The diagram as CSV text: a header line, then one row per dot (%.9g as format_real)."""
+    """The diagram as CSV text: a header line, then one row per dot, reals in REAL_FORMAT."""
     death_px = np.where(diagram.essential, "", diagram.death_px.astype(object))
     cells = np.array((diagram.birth, diagram.death, diagram.birth_px, death_px,
                       diagram.essential.astype(np.int64)), dtype=object).T.ravel().tolist()
-    return ",".join(DIAGRAM_CSV_HEADER) + "\n" + "%.9g,%.9g,%d,%s,%d\n" * len(diagram) % tuple(cells)
+    row = f"{REAL_FORMAT},{REAL_FORMAT},%d,%s,%d\n"
+    return ",".join(DIAGRAM_CSV_HEADER) + "\n" + row * len(diagram) % tuple(cells)
 
 
 def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:

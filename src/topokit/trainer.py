@@ -148,12 +148,10 @@ def run_simulation(student_init_logits, config: TrainConfig,
     trace = TrainTrace()
     for tau in range(1, config.steps + 1):
         f_teacher = expit(theta_t)
-        if config.strong_noise_sigma > 0.0:
-            strong_logits = theta_s + rng.normal(0.0, config.strong_noise_sigma, theta_s.shape)
-        else:
-            strong_logits = theta_s
-        f_strong = expit(strong_logits)
         f_clean = expit(theta_s)
+        f_strong = f_clean
+        if config.strong_noise_sigma > 0.0:
+            f_strong = expit(theta_s + rng.normal(0.0, config.strong_noise_sigma, theta_s.shape))
 
         lam1 = ramp_up_weight(tau, config.steps, config.ramp_k)
         pixel = cross_entropy_loss(f_strong, f_teacher)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, byte-stable outputs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from topokit.cli import main
 from topokit.grid import load_mask_pgm, save_grid_csv, save_mask_pgm
-from topokit.persistence import load_diagram_csv
+from topokit.persistence import load_diagram_csv, save_diagram_csv
 
-from _support import random_distinct_grid
+from _support import diagram_from_pairs, random_distinct_grid
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,32 @@ class TestTopLevel:
         code, out, err = run_cli(capsys, command, *argv)
         assert_data_error(code, out, err)
         assert err == f"error: {bad}: not UTF-8 text\n"
+
+    # float() and int() read digit separators and non-ASCII digits; the loaders do not.
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "GRID", "--phi", "0_5", "--signal-out", "OUT", "--noise-out", "OUT"],
+        ["decompose", "GRID", "--phi", "\u0660.\u0665", "--signal-out", "OUT", "--noise-out", "OUT"],
+        ["pd", "GRID", "--connectivity", "\u0664"],
+        ["wasserstein", "DIAGRAM", "DIAGRAM", "--p", "1_0"],
+        ["wasserstein", "DIAGRAM", "DIAGRAM", "--p", "\u0662"],
+        ["loss", "--student", "GRID", "--teacher", "GRID", "--phi", "0_1"],
+        ["grad-check", "--student", "GRID", "--teacher", "GRID", "--tolerance", "1_0"],
+        ["metrics", "--pred", "MASK", "--gt", "MASK", "--window", "1_6"],
+        ["demo", "--steps", "1_0", "--trace-out", "OUT", "--student-out", "OUT", "--teacher-out", "OUT"],
+        ["demo", "--steps", "1", "--seed", "\u0663", "--trace-out", "OUT", "--student-out", "OUT",
+         "--teacher-out", "OUT"],
+        ["demo", "--steps", "1", "--eta", "0.0_1", "--trace-out", "OUT", "--student-out", "OUT",
+         "--teacher-out", "OUT"],
+    ])
+    def test_numeric_flags_use_the_loaders_grammar(self, capsys, tmp_path, quad_grid, argv):
+        diagram, mask = tmp_path / "d.csv", tmp_path / "m.pgm"
+        run_cli(capsys, "pd", quad_grid, "-o", str(diagram))
+        save_mask_pgm(np.ones((4, 4), dtype=bool), mask)
+        paths = {"GRID": quad_grid, "DIAGRAM": str(diagram), "MASK": str(mask), "OUT": str(tmp_path / "o")}
+        code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestPd:
@@ -449,3 +476,69 @@ class TestDemo:
         )
         assert code == 2
         assert "steps" in err
+
+
+def _matching_sides(case):
+    rng = np.random.default_rng(97)
+    if case == "random":
+        sides = []
+        for n in (12, 9):
+            birth = rng.uniform(0.0, 0.9, n)
+            sides.append(list(zip(birth, rng.uniform(birth, 1.0))))
+        return sides
+    if case == "tied":  # eighths: repeated dots and many with birth == death
+        birth = rng.integers(0, 9, (2, 16)) / 8
+        death = np.maximum(birth, rng.integers(0, 9, (2, 16)) / 8)
+        return [list(zip(b, d)) for b, d in zip(birth, death)]
+    return [[(0.1, 0.9), (0.3, 0.3), (0.2, 0.45), (0.5, 0.75), (0.0, 1.0)], []]
+
+
+FROZEN_WASSERSTEIN_DIGESTS = {
+    "random/1": "22bc4a37d5f81eae63c180af58d8b295f5d884c28de9e1abfccccda1fe283a8a",
+    "random/2": "f5d44f5a5ba655a20b38c0b6152edc0505ac45ee59ecbe194ffb5f28bdd08631",
+    "random/3.5": "e6fe090805fba639555574773a0423c082f4498ab14ed3cabf52dba22f1ad707",
+    "random/inf": "a2ceb6f378f3b0629e0e9ddace161716c13aa460b16418f0604d27d7932b91f6",
+    "tied/1": "6c5684275c7ea3eac8e9a48624b2af4a68ff46d3e032db7046dfa64743dbde41",
+    "tied/2": "061dd222cdc6a3424cfda8e7a20d4ca1bf8cbad63b4edfde724ce2ff79f3ed43",
+    "tied/3.5": "0b559f260f2794a47b484ed0927505177eb185cfced46d684a3c279f86c39b4a",
+    "tied/inf": "cedfce805f272227ffabdfea5c0f3e2920a964d3bfa39103c74a21bd7747f80b",
+    "empty-side/1": "71ed00c7a8bea5e99447391b38a5e2920a2b7b74f8932679c65a66f51fbe8b22",
+    "empty-side/2": "07087b4ede7e29fa5b063ce67bdd9051632c495b3235842add44a97287afc01f",
+    "empty-side/3.5": "1e0e3f445759cf961c6b63ff72d7c2c115789fb191d7b41c9d00b62993433ac2",
+    "empty-side/inf": "ec54760a13514095a546943f4eedc9d3c4c9bdb0e40160dfed9a74945bd3b0b6",
+}
+FROZEN_GRAD_DIGESTS = {
+    "squared-values": "da70ccf21e88621f2dd4898c0f2b9f36c088e00a2080ef095b0083e5eb6aa040",
+    "diagonal": "0c14cd008590e211d814522e83d41e3dae3af4eb13774d59cd5be3fe9c956381",
+}
+
+
+class TestFrozenBytes:
+    """SHA-256 of stdout followed by the file, recorded with the per-pair and per-cell writers."""
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_WASSERSTEIN_DIGESTS))
+    def test_wasserstein_stdout_and_pairs(self, capsys, tmp_path, case):
+        name, p = case.split("/")
+        paths = [str(tmp_path / "left.csv"), str(tmp_path / "right.csv")]
+        for path, dots in zip(paths, _matching_sides(name)):
+            save_diagram_csv(diagram_from_pairs(dots), path)
+        pairs = tmp_path / "pairs.csv"
+        code, out, _ = run_cli(capsys, "wasserstein", *paths, "--p", p, "--pairs-out", str(pairs))
+        assert code == 0
+        digest = hashlib.sha256(out.encode() + pairs.read_bytes()).hexdigest()
+        assert digest == FROZEN_WASSERSTEIN_DIGESTS[case]
+
+    @pytest.mark.parametrize("mode", sorted(FROZEN_GRAD_DIGESTS))
+    def test_loss_grad_out(self, capsys, tmp_path, mode):
+        rng = np.random.default_rng(98)
+        student = rng.random((10, 10))
+        teacher = np.clip(student + rng.normal(0.0, 0.1, student.shape), 0.0, 1.0)
+        paths = [str(tmp_path / "student.csv"), str(tmp_path / "teacher.csv")]
+        save_grid_csv(student, paths[0])
+        save_grid_csv(teacher, paths[1])
+        grad = tmp_path / "grad.csv"
+        code, out, _ = run_cli(capsys, "loss", "--student", paths[0], "--teacher", paths[1],
+                               "--phi", "0.1", "--noise-mode", mode, "--grad-out", str(grad))
+        assert code == 0
+        digest = hashlib.sha256(out.encode() + grad.read_bytes()).hexdigest()
+        assert digest == FROZEN_GRAD_DIGESTS[mode]

@@ -136,6 +136,23 @@ class TestPgm:
         g = load_grid(path)
         assert g.tolist() == [[0.5, 1.0]]
 
+    @pytest.mark.parametrize("magic, raster", [(b"P2", b"10 20\n"), (b"P5", bytes([10, 20]))])
+    def test_comment_right_after_maxval_ends_at_its_newline(self, tmp_path, magic, raster):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(magic + b"\n2 1\n255#c\n" + raster)
+        assert load_grid(path).tolist() == [[10 / 255, 20 / 255]]
+
+    def test_comment_after_maxval_without_newline_is_truncation(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n2 1\n255#cc")
+        with pytest.raises(GridFormatError, match="truncated P5 raster"):
+            load_grid(path)
+
+    def test_binary_raster_may_start_with_a_hash(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n" + bytes([ord("#"), 20]))
+        assert load_grid(path).tolist() == [[ord("#") / 255, 20 / 255]]
+
     def test_binary_single_byte(self, tmp_path):
         path = tmp_path / "b.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 0]))

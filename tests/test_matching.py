@@ -26,7 +26,7 @@ class TestFrozenExamples:
         result = match_diagrams(left, right, 2)
         assert result.cost == pytest.approx(math.hypot(0.05, 0.05), abs=1e-15)
         assert result.cost == pytest.approx(0.07071067811865477, abs=1e-15)
-        assert result.pairs == ((0, 0),)
+        assert result.pairs.tolist() == [[0, 0]]
 
     def test_identity_is_exact_zero(self):
         diagram = diagram_from_pairs([(0.1, 0.9), (0.3, 0.5)])
@@ -38,12 +38,12 @@ class TestFrozenExamples:
         result = match_diagrams(left, diagram_from_pairs([]), 2)
         assert result.cost == pytest.approx(0.8 / math.sqrt(2), abs=1e-15)
         assert result.cost == pytest.approx(0.565685424949238, abs=1e-12)
-        assert result.pairs == ((0, DIAGONAL),)
+        assert result.pairs.tolist() == [[0, DIAGONAL]]
 
     def test_both_empty(self):
         result = match_diagrams(diagram_from_pairs([]), diagram_from_pairs([]), 2)
         assert result.cost == 0.0
-        assert result.pairs == ()
+        assert result.pairs.shape == (0, 2)
 
     def test_bottleneck_single_pair(self):
         left = diagram_from_pairs([(0.2, 0.9)])
@@ -80,11 +80,28 @@ class TestPairStructure:
             lp = random_diagram_pairs(rng, 4)
             rp = random_diagram_pairs(rng, 4)
             result = match_diagrams(diagram_from_pairs(lp), diagram_from_pairs(rp), 2)
-            lefts = [li for li, _ in result.pairs if li != DIAGONAL]
-            rights = [ri for _, ri in result.pairs if ri != DIAGONAL]
-            assert sorted(lefts) == list(range(len(lp)))
-            assert sorted(rights) == list(range(len(rp)))
-            assert (DIAGONAL, DIAGONAL) not in result.pairs
+            lefts, rights = result.pairs.T
+            assert sorted(lefts[lefts != DIAGONAL].tolist()) == list(range(len(lp)))
+            assert sorted(rights[rights != DIAGONAL].tolist()) == list(range(len(rp)))
+            assert not (result.pairs == DIAGONAL).all(axis=1).any()
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_pairs_are_a_read_only_int64_array_in_the_documented_order(self, p):
+        rng = np.random.default_rng(52)
+        for _ in range(30):
+            lp = random_diagram_pairs(rng, 5)
+            rp = random_diagram_pairs(rng, 5)
+            pairs = match_diagrams(diagram_from_pairs(lp), diagram_from_pairs(rp), p).pairs
+            assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+            with pytest.raises(ValueError):
+                pairs[0:1] = 0
+            # W_p: every left dot in index order, then right dots sent to the diagonal;
+            # the bottleneck: every right dot in column order, then left dots sent there.
+            first, second = pairs.T if p != math.inf else pairs.T[::-1]
+            head = len(lp) if p != math.inf else len(rp)
+            assert first[:head].tolist() == list(range(head))
+            assert (first[head:] == DIAGONAL).all()
+            assert (np.diff(second[head:]) > 0).all()
 
     def test_cost_consistent_with_pairs(self):
         rng = np.random.default_rng(53)
@@ -111,7 +128,7 @@ class TestPairStructure:
         rp = random_diagram_pairs(rng, 4)
         a = match_diagrams(diagram_from_pairs(lp), diagram_from_pairs(rp), 2)
         b = match_diagrams(diagram_from_pairs(lp), diagram_from_pairs(rp), 2)
-        assert a.pairs == b.pairs
+        assert a.pairs.tolist() == b.pairs.tolist()
         assert a.cost == b.cost
 
 
