@@ -5,12 +5,20 @@ where low values mark foreground (dark structures). A mask is a 2D bool
 array with the same layout. Pixel identifiers used throughout the package
 are row-major linear indices into the grid.
 
+Numbers in P2 rasters and CSV grids are read by numpy's text parser, one
+np.loadtxt pass per file (parse_text); README "Numerical conventions" lists
+its grammar. Where numpy reads a form the loaders never took (a "+" in a
+P2 raster, non-ASCII or \\x1c-\\x1f spaces, an empty CSV line it skips), a
+check outside the parse rejects it. Only after the parse has failed does a
+loader look at the lines one by one, to name the first bad one.
+
 All functions here are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +67,7 @@ def as_likelihood(values) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(flat) | (flat < 0.0) | (flat > 1.0))
     if bad.size:
         i = int(bad[0])
-        raise GridFormatError(f"value {flat[i]!r} at pixel {i} is outside [0, 1]")
+        raise GridFormatError(f"value {float(flat[i])!r} at pixel {i} is outside [0, 1]")
     return grid
 
 
@@ -106,6 +114,32 @@ def label_components(mask, connectivity: int = 4) -> ComponentLabeling:
 # A PGM header token after any whitespace and comments, then a comment right after it. A
 # comment runs to its newline; after maxval, that newline is the byte before a P5 raster.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)(?:#[^\n]*)?")
+# A P2 raster becomes one line of space-separated tokens. numpy also splits at \x1c-\x1f,
+# which bytes.split() and int() never took for whitespace, so those become unparseable.
+_P2_SPACES = bytes.maketrans(b"\t\n\v\f\r\x1c\x1d\x1e\x1f", b"     ????")
+_P2_INTEGER = re.compile(rb"-?[0-9]+")
+
+
+def parse_text(lines, **kwargs) -> np.ndarray:
+    """np.loadtxt over an iterable of lines with no comment character.
+
+    numpy's grammar: ASCII digits only, no digit separators, integers within
+    int64, whitespace around a field allowed. An empty line is skipped; input
+    with no rows gives an empty array instead of numpy's warning.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(lines, comments=None, **kwargs)
+
+
+def plain_ascii(text: str) -> bool:
+    """False if text holds a character numpy strips around a number but the loaders never took.
+
+    numpy strips all Unicode whitespace. float() and int() strip non-ASCII spaces as
+    well, but the loaders rejected any non-ASCII text; of the ASCII characters they
+    strip only \\t\\n\\v\\f\\r and the space, not \\x1c-\\x1f.
+    """
+    return text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
 
 
 def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
@@ -135,13 +169,17 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
         raise GridFormatError(f"{path}: PGM maxval {maxval} outside [1, 65535]")
     n = width * height
     if magic == b"P2":
-        raw = data[pos:].split()
         try:
-            if data.find(b"_", pos) >= 0 or data.find(b"+", pos) >= 0:
+            if data.find(b"+", pos) >= 0:  # numpy reads "+5" as 5
                 raise ValueError
-            samples = np.array([int(t) for t in raw], dtype=np.int64)
-        except ValueError:
-            raise GridFormatError(f"{path}: non-integer sample in P2 raster") from None
+            line = str(memoryview(data.translate(_P2_SPACES))[pos:], "ascii")
+            samples = parse_text([line], dtype=np.int64, ndmin=1)
+        except ValueError:  # a UnicodeDecodeError is one too
+            raw = data[pos:].split()
+            if not all(map(_P2_INTEGER.fullmatch, raw)):
+                raise GridFormatError(f"{path}: non-integer sample in P2 raster") from None
+            # Integers past int64: the checks below name the first one as out of range.
+            samples = np.array([int(t) for t in raw], dtype=object)
     else:
         pos += 1  # exactly one whitespace byte separates maxval from the raster
         itemsize = 2 if maxval > 255 else 1
@@ -155,9 +193,9 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     bad = np.flatnonzero((samples < 0) | (samples > maxval))
     if bad.size:
         i = int(bad[0])
-        raise GridFormatError(
-            f"{path}: sample {int(samples[i])} at pixel {i} exceeds maxval {maxval}"
-        )
+        sample = int(samples[i])
+        bound = f"exceeds maxval {maxval}" if sample > 0 else f"is outside [0, {maxval}]"
+        raise GridFormatError(f"{path}: sample {sample} at pixel {i} {bound}")
     return samples.reshape(height, width), maxval
 
 
@@ -167,24 +205,25 @@ def _read_csv_grid(path) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
-    rows: list[list[float]] = []
-    # float() reads Python's digit separators and any Unicode digit: "0.2_5" and "٠.٥" are
-    # numbers to it. One scan of the whole text; the line is found in the loop.
-    suspect = "_" in text or not text.isascii()
-    for ln, line in enumerate(text.splitlines(), start=1):
-        cells = line.split(",")
+    lines = text.splitlines()
+    if not lines:
+        raise GridFormatError(f"{path}: empty CSV grid")
+    # Line breaks such as \x1c or U+2028 are not in the lines.
+    if plain_ascii(text) or all(map(plain_ascii, lines)):
         try:
-            if suspect and ("_" in line or not line.isascii()):
+            grid = parse_text(lines, delimiter=",", ndmin=2)
+            if len(grid) == len(lines):  # numpy skips empty lines
+                return grid
+        except ValueError:
+            pass
+    for ln, line in enumerate(lines, start=1):  # name the first bad line
+        try:
+            if not line or not plain_ascii(line):
                 raise ValueError
-            rows.append([float(c) for c in cells])
+            parse_text([line], delimiter=",")
         except ValueError:
             raise GridFormatError(f"{path}: line {ln}: unparseable cell") from None
-    if not rows:
-        raise GridFormatError(f"{path}: empty CSV grid")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise GridFormatError(f"{path}: non-rectangular CSV (row lengths differ)")
-    return np.array(rows, dtype=np.float64)
+    raise GridFormatError(f"{path}: non-rectangular CSV (row lengths differ)")
 
 
 def _infer_format(path, fmt: str | None) -> str:

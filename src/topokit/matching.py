@@ -56,7 +56,7 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
         if not np.isfinite(pts).all():
             i = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
             raise ValueError(f"{side} dot {i} has a non-finite birth or death: "
-                             f"({pts[i, 0]!r}, {pts[i, 1]!r})")
+                             f"({float(pts[i, 0])!r}, {float(pts[i, 1])!r})")
     if lpts.shape[0] == 0 and rpts.shape[0] == 0:
         return DiagramMatching(_pairs_from_assignment(*np.empty((2, 0), np.int64), 0, 0), 0.0, p)
     if math.isinf(p):

@@ -46,17 +46,35 @@ dot. Its dots property is a derived view that builds PersistentDot objects.
 compute_diagram keeps the stable argsort (an ndarray) and the birth/death
 pixels of its two most recent calls; a call with the same shape,
 connectivity and argsort reuses those pixels and skips the kernel.
+
+load_diagram_csv reads every row in one numpy pass: numpy's tokenizer takes
+quoted fields as csv.reader does, and its number grammar is the grid
+loaders' (grid.parse_text). csv.reader splits the rows again only when that
+pass fails, when a check fails, or when the file may hold what numpy and
+csv.reader read differently (an empty line, a field over csv's size
+limit); that re-scan names the first bad row.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import DIRECTIONS, REAL_FORMAT, SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
+from .grid import (
+    DIRECTIONS,
+    REAL_FORMAT,
+    SUBLEVEL,
+    SUPERLEVEL,
+    GridFormatError,
+    as_likelihood,
+    parse_text,
+    plain_ascii,
+)
 
 DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
 
@@ -315,40 +333,124 @@ def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
     Path(path).write_text(format_diagram_csv(diagram))
 
 
-def load_diagram_csv(path) -> PersistenceDiagram:
-    """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative."""
-    path = Path(path)
+_ROW = np.dtype([("birth", np.float64), ("death", np.float64), ("birth_px", np.int64),
+                 ("death_px", object), ("essential", np.int64)])  # death_px may be empty
+_ROW_ERRORS = ("birth/death outside [0, 1]", "negative pixel index",
+               "essential must be 0 or 1, got {!r}", "essential flag and death_px disagree")
+
+
+def _parse_rows(lines, skiprows: int = 0) -> tuple[np.ndarray, ...]:
+    """Diagram rows read by numpy's CSV tokenizer (quotes as csv.reader takes them).
+
+    Returns birth, death, birth_px, death_px (-1 where empty) and the (rows, 4)
+    matrix of failed checks in _ROW_ERRORS order. ValueError when a row does not
+    parse. The caller rejects text that is not grid.plain_ascii.
+    """
+    table = parse_text(lines, dtype=_ROW, delimiter=",", quotechar='"', skiprows=skiprows,
+                       ndmin=1)
+    death_px = np.full(len(table), -1, dtype=np.int64)
+    given = table["death_px"] != ""
+    cells = table["death_px"][given]
+    # int() reads these cells with numpy's grammar but for "1_0" and int64 overflow.
+    if "_" in "".join(cells):
+        raise ValueError("digit separator")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError:
-        raise GridFormatError(f"{path}: not UTF-8 text") from None
+        death_px[given] = cells.astype(np.int64)
+    except OverflowError:
+        raise ValueError("integer past int64") from None
+    # Copies: a field of the table is a strided view that would keep the death_px strings.
+    birth, death, birth_px = (table[k].copy() for k in ("birth", "death", "birth_px"))
+    essential = table["essential"]
+    failed = np.column_stack((
+        ~((0.0 <= birth) & (birth <= 1.0) & (0.0 <= death) & (death <= 1.0)),  # NaN fails too
+        (birth_px < 0) | (death_px < 0) & given,
+        (essential != 0) & (essential != 1),
+        (essential == 1) == given,
+    ))
+    return birth, death, birth_px, death_px, failed
+
+
+def _requote(row: list[str]) -> str:
+    """The cells as one CSV line that numpy's tokenizer splits back into the same cells."""
+    return ",".join('"' + cell.replace('"', '""') + '"' for cell in row)
+
+
+def _rows_pass(rows: list[list[str]]) -> bool:
+    """True if every row has 5 plain ASCII cells that parse and pass every check."""
+    try:
+        return (all(len(row) == 5 for row in rows) and plain_ascii("".join(map("".join, rows)))
+                and not _parse_rows(map(_requote, rows))[-1].any())
+    except ValueError:
+        return False
+
+
+_RESCAN_CHUNK = 1024  # rows the re-scan hands numpy at once
+
+
+def _raise_first_bad_row(path, text: str) -> None:
+    """Raise the GridFormatError of the first bad row as csv.reader splits the rows.
+
+    Returns if every row is good. numpy reads the rows a chunk at a time; within the
+    first chunk that fails, one at a time, so the row's first failing check is reported
+    in _ROW_ERRORS order. A cell that is not plain_ascii is unparseable.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise GridFormatError(f"{path}: {exc}") from None
     if not rows or rows[0] != DIAGRAM_CSV_HEADER:
         raise GridFormatError(f"{path}: missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
-    dots = []
-    for ln, row in enumerate(rows[1:], start=2):  # in file order: the first bad line is reported
-        if len(row) != 5:
-            raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
-        try:
-            text = "".join(row)
-            if "_" in text or not text.isascii():  # float() and int() read "1_0" and "١٠" as 10
-                raise ValueError
-            birth, death = float(row[0]), float(row[1])
-            birth_px = int(row[2])
-            death_px = None if row[3] == "" else int(row[3])
-            essential = int(row[4])
-        except ValueError:
-            raise GridFormatError(f"{path}: line {ln}: unparseable diagram row") from None
-        if not (0.0 <= birth <= 1.0 and 0.0 <= death <= 1.0):  # also false for NaN
-            raise GridFormatError(f"{path}: line {ln}: birth/death outside [0, 1]")
-        if birth_px < 0 or (death_px is not None and death_px < 0):
-            raise GridFormatError(f"{path}: line {ln}: negative pixel index")
-        if essential not in (0, 1):
-            raise GridFormatError(f"{path}: line {ln}: essential must be 0 or 1, got {row[4]!r}")
-        if essential != (death_px is None):
-            raise GridFormatError(f"{path}: line {ln}: essential flag and death_px disagree")
-        dots.append((birth, death, birth_px, -1 if death_px is None else death_px))
-    columns = zip(*dots) if dots else ((),) * 4
-    return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))
+    for start in range(1, len(rows), _RESCAN_CHUNK):
+        chunk = rows[start:start + _RESCAN_CHUNK]
+        if _rows_pass(chunk):
+            continue
+        for ln, row in enumerate(chunk, start=start + 1):
+            if len(row) != 5:
+                raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
+            try:
+                if not plain_ascii("".join(row)):
+                    raise ValueError
+                failed = _parse_rows([_requote(row)])[-1][0]
+            except ValueError:
+                raise GridFormatError(f"{path}: line {ln}: unparseable diagram row") from None
+            if failed.any():
+                message = _ROW_ERRORS[int(np.argmax(failed))].format(row[4])
+                raise GridFormatError(f"{path}: line {ln}: {message}")
+
+
+def _longest_run(data: bytes) -> int:
+    """Length of the longest run of bytes between two commas: no csv field is longer."""
+    commas = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(","))
+    return int(np.diff(commas, prepend=-1, append=len(data)).max()) - 1
+
+
+def load_diagram_csv(path) -> PersistenceDiagram:
+    """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative.
+
+    Rows are split as csv.reader splits them (quoted fields, an empty death_px for
+    the essential dot) and numbers are read by numpy's parser in one pass. A bad
+    row is named by its line, the first in file order.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    columns = None
+    with contextlib.suppress(ValueError, csv.Error):
+        if next(rows, None) == DIAGRAM_CSV_HEADER and plain_ascii(text):
+            *columns, failed = _parse_rows(io.StringIO(text, newline=None), rows.line_num)
+            if failed.any():
+                columns = None
+    # numpy skips empty lines, which csv.reader reads as rows of no columns, and has no
+    # field size limit: a line break right after another, or a long run between two
+    # commas, sends the file through csv.reader.
+    if columns is None or "\n\n" in text or "\n\r" in text or "\r\r" in text or (
+            len(data) > csv.field_size_limit() and _longest_run(data) > csv.field_size_limit()):
+        _raise_first_bad_row(path, text)
+    if columns is None:  # unreachable unless numpy and csv.reader split the rows differently
+        raise GridFormatError(f"{path}: unparseable diagram CSV")
+    return PersistenceDiagram(*columns)
+

@@ -1,15 +1,18 @@
-"""Shared test helpers: seeded grids, the diagram oracles and brute-force matching oracles."""
+"""Shared test helpers: seeded grids, the diagram, matching and file-parser oracles."""
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from topokit.grid import SUBLEVEL, SUPERLEVEL, as_likelihood
-from topokit.persistence import PersistenceDiagram, PersistentDot
+from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
+from topokit.persistence import DIAGRAM_CSV_HEADER, PersistenceDiagram, PersistentDot
 
 ORACLE_PIXEL_LIMIT = 400
 
@@ -215,3 +218,125 @@ def brute_assignment_cost(cost_matrix) -> float:
     for perm in itertools.permutations(range(size)):
         best = min(best, float(sum(c[i, j] for i, j in enumerate(perm))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# file-parser oracles: the loaders as they were before numpy's parser read the
+# numbers, with int(), float() and csv.reader one token, cell or row at a time.
+# An integer past int64 can make them raise OverflowError.
+# ---------------------------------------------------------------------------
+
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)(?:#[^\n]*)?")
+
+
+def reference_pgm_samples(path) -> tuple[np.ndarray, int]:
+    """grid._read_pgm_samples with int() per P2 token."""
+    path = Path(path)
+    data = path.read_bytes()
+    tokens, pos = [], 0
+    for _ in range(4):  # magic, width, height, maxval
+        match = _PGM_TOKEN.match(data, pos)
+        if not match[1]:
+            raise GridFormatError(f"{path}: truncated PGM header")
+        tokens.append(match[1])
+        pos = match.end()
+    magic = tokens[0]
+    if magic not in (b"P2", b"P5"):
+        raise GridFormatError(f"{path}: not a PGM file (magic {magic!r})")
+    try:
+        header = b"".join(tokens[1:4])
+        if b"_" in header or b"+" in header:
+            raise ValueError
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise GridFormatError(f"{path}: malformed PGM header {tokens[1:4]!r}") from None
+    if width < 1 or height < 1:
+        raise GridFormatError(f"{path}: bad PGM dimensions {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise GridFormatError(f"{path}: PGM maxval {maxval} outside [1, 65535]")
+    n = width * height
+    if magic == b"P2":
+        raw = data[pos:].split()
+        try:
+            if data.find(b"_", pos) >= 0 or data.find(b"+", pos) >= 0:
+                raise ValueError
+            samples = np.array([int(t) for t in raw], dtype=np.int64)
+        except ValueError:
+            raise GridFormatError(f"{path}: non-integer sample in P2 raster") from None
+    else:
+        pos += 1
+        itemsize = 2 if maxval > 255 else 1
+        raster = data[pos:pos + n * itemsize]
+        if len(raster) != n * itemsize:
+            raise GridFormatError(f"{path}: truncated P5 raster")
+        samples = np.frombuffer(raster, dtype=">u2" if itemsize == 2 else "u1").astype(np.int64)
+    if samples.size != n:
+        raise GridFormatError(f"{path}: expected {n} samples, found {samples.size}")
+    bad = np.flatnonzero((samples < 0) | (samples > maxval))
+    if bad.size:
+        i = int(bad[0])
+        raise GridFormatError(
+            f"{path}: sample {int(samples[i])} at pixel {i} exceeds maxval {maxval}"
+        )
+    return samples.reshape(height, width), maxval
+
+
+def reference_csv_grid(path) -> np.ndarray:
+    """grid._read_csv_grid with float() per cell."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
+    rows = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        try:
+            if "_" in line or not line.isascii():
+                raise ValueError
+            rows.append([float(c) for c in line.split(",")])
+        except ValueError:
+            raise GridFormatError(f"{path}: line {ln}: unparseable cell") from None
+    if not rows:
+        raise GridFormatError(f"{path}: empty CSV grid")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise GridFormatError(f"{path}: non-rectangular CSV (row lengths differ)")
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_diagram_csv(path) -> PersistenceDiagram:
+    """persistence.load_diagram_csv with csv.reader, then float() and int() per row."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise GridFormatError(f"{path}: {exc}") from None
+    if not rows or rows[0] != DIAGRAM_CSV_HEADER:
+        raise GridFormatError(f"{path}: missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
+    dots = []
+    for ln, row in enumerate(rows[1:], start=2):
+        if len(row) != 5:
+            raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
+        try:
+            text = "".join(row)
+            if "_" in text or not text.isascii():
+                raise ValueError
+            birth, death = float(row[0]), float(row[1])
+            birth_px = int(row[2])
+            death_px = None if row[3] == "" else int(row[3])
+            essential = int(row[4])
+        except ValueError:
+            raise GridFormatError(f"{path}: line {ln}: unparseable diagram row") from None
+        if not (0.0 <= birth <= 1.0 and 0.0 <= death <= 1.0):
+            raise GridFormatError(f"{path}: line {ln}: birth/death outside [0, 1]")
+        if birth_px < 0 or (death_px is not None and death_px < 0):
+            raise GridFormatError(f"{path}: line {ln}: negative pixel index")
+        if essential not in (0, 1):
+            raise GridFormatError(f"{path}: line {ln}: essential must be 0 or 1, got {row[4]!r}")
+        if essential != (death_px is None):
+            raise GridFormatError(f"{path}: line {ln}: essential flag and death_px disagree")
+        dots.append((birth, death, birth_px, -1 if death_px is None else death_px))
+    columns = zip(*dots) if dots else ((),) * 4
+    return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))

@@ -148,6 +148,26 @@ class TestPd:
         assert code == 2
         assert "nope.csv" in err
 
+    @pytest.mark.parametrize("command", ["pd", "decompose", "loss", "metrics"])
+    def test_p2_sample_past_int64_returns_two(self, capsys, tmp_path, command):
+        path = tmp_path / "big.pgm"
+        path.write_text("P2\n2 1\n255\n99999999999999999999 3\n")
+        argv = {"pd": [str(path)],
+                "decompose": [str(path), "--signal-out", str(tmp_path / "s"),
+                              "--noise-out", str(tmp_path / "n")],
+                "loss": ["--student", str(path), "--teacher", str(path)],
+                "metrics": ["--pred", str(path), "--gt", str(path)]}[command]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert_data_error(code, out, err)
+        assert err.endswith("sample 99999999999999999999 at pixel 0 exceeds maxval 255\n")
+
+    def test_csv_value_outside_range_prints_a_plain_float(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0.5,nan\n")
+        code, out, err = run_cli(capsys, "pd", str(path))
+        assert_data_error(code, out, err)
+        assert err == "error: value nan at pixel 1 is outside [0, 1]\n"
+
     def test_malformed_grid_returns_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.1,0.2\n0.3\n")
@@ -268,6 +288,15 @@ class TestWasserstein:
         code, out, _ = run_cli(capsys, "wasserstein", str(left), str(right), "--p", "5000")
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(0.8 / np.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("row", ["0.1,0.9,3,99999999999999999999999,0",
+                                     "0.1,0.9,99999999999999999999999,4,0"])
+    def test_pixel_past_int64_returns_two(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n")
+        code, out, err = run_cli(capsys, "wasserstein", str(bad), str(bad))
+        assert_data_error(code, out, err)
+        assert err.endswith("bad.csv: line 2: unparseable diagram row\n")
 
     @pytest.mark.parametrize("row", ["0.1,0.9,1_0,1,0", "0.2_5,0.9,0,1,0"])
     def test_digit_separators_return_two(self, capsys, tmp_path, row):

@@ -13,6 +13,8 @@ from topokit.cli import main
 
 LEVELS = [f"{k / 16:g}" for k in range(17)]
 CELLS = st.sampled_from(LEVELS[::4] + ["1.5", "-0.1", "nan", "inf", "", "x"])
+OVERFLOW = ["99999999999999999999999", "-99999999999999999999999"]  # past int64
+P2_TOKENS = st.sampled_from(["0", "7", "255"] * 3 + ["300", "-5", "-", "#", "#7", "5#", *OVERFLOW])
 
 
 @st.composite
@@ -41,20 +43,30 @@ def diagram_csvs(draw):
     return ".csv", ("\n".join(rows) + "\n").encode()
 
 
-JUNK = st.tuples(st.sampled_from([".csv", ".pgm"]), st.one_of(
+@st.composite
+def p2_rasters(draw):
+    """A P2 file whose raster holds hashes, dashes and integers past int64 among the samples."""
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = w * h + draw(st.sampled_from([0, 0, 1]))
+    tokens = draw(st.lists(P2_TOKENS, min_size=count, max_size=count))
+    return ".pgm", f"P2 {w} {h}\n255\n{' '.join(tokens)}\n".encode()
+
+
+JUNK = st.one_of(st.tuples(st.sampled_from([".csv", ".pgm"]), st.one_of(
     st.binary(max_size=32),
     st.just(b"\xff\xfe0.5\n"),
-    st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=4).map(
-        lambda rows: "\n".join(",".join(r) for r in rows).encode()),
+    st.builds(lambda rows, breaks: "".join(",".join(r) + b for r, b in zip(rows, breaks)).encode(),
+              st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=4),
+              st.lists(st.sampled_from(["\n", "\n\n", "\n \n", "\r\n"]), min_size=4, max_size=4)),
     st.builds(lambda header, rows: (header + "".join(",".join(r) + "\n" for r in rows)).encode(),
               st.sampled_from(["birth,death,birth_px,death_px,essential\n", "birth,death\n", ""]),
-              st.lists(st.tuples(CELLS, CELLS, st.sampled_from(["0", "-1", "x"]),
-                                 st.sampled_from(["", "1", "-2", "x"]),
+              st.lists(st.tuples(CELLS, CELLS, st.sampled_from(["0", "-1", "x", *OVERFLOW]),
+                                 st.sampled_from(["", "1", "-2", "x", *OVERFLOW]),
                                  st.sampled_from(["0", "1", "2"])), max_size=4)),
     st.builds(lambda magic, w, h, maxval, raster: magic + f" {w} {h}\n{maxval}\n".encode() + raster,
               st.sampled_from([b"P2", b"P5", b"P6"]), st.integers(0, 3), st.integers(0, 3),
               st.sampled_from([0, 1, 255, 256, 65535, 70000]), st.binary(max_size=20)),
-))
+)), p2_rasters())
 VALID_FILES = {"grid": st.one_of(csv_grids(), pgms()), "diagram": diagram_csvs(), "mask": pgms()}
 ROLE = {"wasserstein": "diagram", "metrics": "mask"}  # every other subcommand reads grids
 

@@ -1,8 +1,16 @@
 """Grid types, thresholding, labeling, and PGM/CSV round trips."""
 
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from topokit import grid as grid_module
 from topokit.grid import (
     SUBLEVEL,
     SUPERLEVEL,
@@ -13,13 +21,14 @@ from topokit.grid import (
     label_components,
     load_grid,
     load_mask_pgm,
+    parse_text,
     save_grid_csv,
     save_grid_pgm,
     save_mask_pgm,
     threshold,
 )
 
-from _support import random_distinct_grid
+from _support import random_distinct_grid, reference_csv_grid, reference_pgm_samples
 
 
 class TestValidation:
@@ -35,6 +44,12 @@ class TestValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="pixel 0"):
             as_likelihood([[-0.1, 0.2]])
+
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (1.5, "1.5")])
+    def test_message_shows_the_value_as_a_float(self, value, shown):
+        with pytest.raises(GridFormatError) as exc:
+            as_likelihood(np.array([[0.5, value]]))
+        assert str(exc.value) == f"value {shown} at pixel 1 is outside [0, 1]"
 
     def test_rejects_empty_and_non_2d(self):
         with pytest.raises(ValueError):
@@ -172,6 +187,56 @@ class TestPgm:
         with pytest.raises(GridFormatError, match="pixel 1"):
             load_grid(path)
 
+    def test_negative_sample_names_the_range(self, tmp_path):
+        path = tmp_path / "neg.pgm"
+        path.write_text("P2\n2 1\n255\n7 -5\n")
+        with pytest.raises(GridFormatError, match=r"sample -5 at pixel 1 is outside \[0, 255\]$"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("raster, message", [
+        ("99999999999999999999 3", "sample 99999999999999999999 at pixel 0 exceeds maxval 255"),
+        ("3 -99999999999999999999", r"sample -99999999999999999999 at pixel 1 is outside \[0, 255\]"),
+        ("300 99999999999999999999", "sample 300 at pixel 0 exceeds maxval 255"),
+        ("99999999999999999999", "expected 2 samples, found 1"),
+        ("99999999999999999999 x", "non-integer sample"),
+    ])
+    def test_samples_past_int64_are_out_of_range(self, tmp_path, raster, message):
+        path = tmp_path / "big.pgm"
+        path.write_text(f"P2\n2 1\n255\n{raster}\n")
+        with pytest.raises(GridFormatError, match=message):
+            load_grid(path)
+
+    @pytest.mark.parametrize("raster", ["5 #3", "5 -", "5\x1c3", "5\x1f 3", "5 3\x00", "5 3.0"])
+    def test_hashes_dashes_and_separators_are_non_integer(self, tmp_path, raster):
+        path = tmp_path / "odd.pgm"
+        path.write_text(f"P2\n2 1\n255\n{raster}\n")
+        with pytest.raises(GridFormatError, match="non-integer sample in P2 raster"):
+            load_grid(path)
+
+    def test_every_ascii_space_separates_samples(self, tmp_path):
+        path = tmp_path / "ws.pgm"
+        path.write_bytes(b"P2\n3 2\n255\n\t1 2\r\n3\x0b4\x0c5\r6")
+        assert load_grid(path).tolist() == [[1 / 255, 2 / 255, 3 / 255], [4 / 255, 5 / 255, 6 / 255]]
+
+    def test_empty_raster_counts_no_samples(self, tmp_path):
+        path = tmp_path / "empty.pgm"
+        path.write_text("P2\n2 1\n255\n \n")
+        with pytest.raises(GridFormatError, match="expected 2 samples, found 0"):
+            load_grid(path)
+
+    def test_peak_memory_of_a_16_bit_p2_load(self, tmp_path):
+        # int() per token peaked at 24.3 MiB here (a bytes object per token, then a list
+        # of ints); numpy's parser at 16.2 MiB, 13.3 of them inside np.loadtxt.
+        path = tmp_path / "g.pgm"
+        save_grid_pgm(np.random.default_rng(0).random((512, 512)), path)
+        tracemalloc.start()
+        try:
+            load_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_text("P2\n2 2\n255\n0 255 128\n")
@@ -264,6 +329,29 @@ class TestCsv:
         with pytest.raises(GridFormatError, match="rectangular"):
             load_grid(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("0.1,0.9\n\n0.2,0.8\n", 2), ("0.1,0.9\n \n0.2,0.8\n", 2), ("0.1,0.9\n\t\n", 2),
+        ("\n0.1,0.9\n", 1), ("0.1,0.9\n0.2\n\n", 3), ("0.1\n0.2\n\n0.3,x\n", 3),
+    ])
+    def test_blank_line_is_unparseable(self, tmp_path, text, line):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(GridFormatError, match=f"line {line}: unparseable cell$"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("breaks", ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\u2028"])
+    def test_lines_are_split_like_str_splitlines(self, tmp_path, breaks):
+        path = tmp_path / "g.csv"
+        path.write_text(f"0.5,0.25{breaks}0.3,0.4{breaks}", encoding="utf-8", newline="")
+        assert load_grid(path).tolist() == [[0.5, 0.25], [0.3, 0.4]]
+
+    def test_nan_cell_message_shows_a_float(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0.5,nan\n")
+        with pytest.raises(GridFormatError) as exc:
+            load_grid(path)
+        assert str(exc.value) == "value nan at pixel 1 is outside [0, 1]"
+
     def test_out_of_range_value_names_pixel(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0.1,0.9\n0.2,1.8\n")
@@ -307,3 +395,128 @@ class TestMaskPgm:
         path = tmp_path / "m.pgm"
         path.write_text("P2\n3 1\n255\n0 7 255\n")
         assert load_mask_pgm(path).tolist() == [[False, True, True]]
+
+
+class TestNumpyGrammar:
+    """What numpy's parser does with the forms the loaders used to scan for by hand."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0665", "\uff15", "99999999999999999999",
+                                       "-9223372036854775809", "5.0", "0x10"])
+    def test_rejects_separators_non_ascii_digits_and_int64_overflow(self, token):
+        with pytest.raises(ValueError):
+            parse_text([token], dtype=np.int64)
+
+    @pytest.mark.parametrize("cell", ["0.2_5", "1_0e-1", "\u0660.\u0665", "0.\uff15", "0x1p-1"])
+    def test_rejects_float_separators_and_non_ascii_digits(self, cell):
+        with pytest.raises(ValueError):
+            parse_text([cell], delimiter=",")
+
+    def test_reads_a_plus_sign_so_the_p2_scan_for_it_stays(self):
+        assert parse_text(["+5"], dtype=np.int64, ndmin=1).tolist() == [5]
+
+    def test_strips_non_ascii_spaces_so_the_ascii_check_stays(self):
+        assert parse_text(["\u00a00.5"], delimiter=",", ndmin=1).tolist() == [0.5]
+
+    def test_skips_empty_lines_so_the_row_count_is_checked(self):
+        assert parse_text(["0.5", "", "0.25"], delimiter=",").tolist() == [0.5, 0.25]
+
+    def test_splits_at_unit_separators_that_int_does_not(self):
+        assert parse_text(["5\x1c6"], dtype=np.int64).tolist() == [5, 6]
+        with pytest.raises(ValueError):
+            int(b"5\x1c6")
+
+    def test_no_rows_give_an_empty_array(self):
+        assert parse_text([], delimiter=",").size == 0
+
+
+def _outcome(read, content: bytes, suffix: str):
+    """read's result on a file holding content, or its exception as (type name, message)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("f" + suffix)
+        path.write_bytes(content)
+        try:
+            return read(path)
+        except (GridFormatError, OverflowError) as exc:
+            return type(exc).__name__, str(exc).replace(str(path), "F")
+
+
+P2_TOKENS = ["0", "007", "-0", "-5", "+5", "300", "65535", "9223372036854775807",
+             "9223372036854775808", "99999999999999999999", "-99999999999999999999",
+             "#", "#5", "-", "1_0", "\u0665", "5.0", "x", "\x00"]
+P2_SPACES = [" ", "  ", "\t", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1f"]
+
+
+@st.composite
+def p2_files(draw):
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([1, 255, 65535]))
+    count = w * h + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    sample = st.integers(0, maxval).map(str)
+    if not draw(st.booleans()):
+        sample = st.one_of(sample, st.sampled_from(P2_TOKENS))
+    tokens = draw(st.lists(sample, min_size=count, max_size=count))
+    space = st.sampled_from(P2_SPACES)
+    raster = draw(space) + "".join(t + draw(space) for t in tokens)
+    after_maxval = draw(st.sampled_from(["\n", " ", "\t", "#c\n"]))
+    return f"P2 # x\n{w} {h}\n{maxval}{after_maxval}{raster}".encode()
+
+
+CSV_CELLS = ["0.5", " 0.5 ", "\t0.25", "0.1\x1f", "1", "0", "-0.0", "+0.5", ".5", "5.", "1e-3",
+             "1E-3", "nan", "-nan", "inf", "-Infinity", "1.5", "", " ", "0.2_5", "\u0660.\u0665",
+             "0.5\u00a0", "0x1p-1", "1d-1", "x", '"0.5"', "0.5\x00"]
+CSV_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\n\n", "\n \n"]
+
+
+@st.composite
+def csv_files(draw):
+    clean = draw(st.booleans())
+    cell = st.one_of(st.floats(0, 1).map(repr), st.floats(0, 1).map("{:.17g}".format))
+    if not clean:
+        cell = st.one_of(cell, st.sampled_from(CSV_CELLS))
+    width = draw(st.integers(1, 4))
+    widths = st.just(width) if clean or draw(st.booleans()) else st.integers(1, 4)
+    rows = draw(st.lists(widths.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)),
+                         min_size=0 if not clean else 1, max_size=4))
+    breaks = st.sampled_from(["\n", "\r\n"] if clean else CSV_BREAKS)
+    text = "".join(",".join(row) + draw(breaks) for row in rows)
+    return text.encode("utf-8")
+
+
+class TestAgainstTheOldParsers:
+    """numpy's parser gives the bits and the messages int() and float() gave.
+
+    The intended differences: a P2 sample past int64 is out of range (int64 overflow
+    raised OverflowError), and a negative sample is outside [0, maxval] (it said
+    "exceeds maxval").
+    """
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(p2_files())
+    def test_p2_rasters(self, content):
+        new = _outcome(grid_module._read_pgm_samples, content, ".pgm")
+        old = _outcome(reference_pgm_samples, content, ".pgm")
+        event("loaded" if isinstance(old[0], np.ndarray) else old[0])
+        if isinstance(old, tuple) and isinstance(old[0], np.ndarray):
+            assert isinstance(new[0], np.ndarray) and new[0].dtype == np.int64
+            assert (new[0].shape, new[0].tobytes(), new[1]) == (old[0].shape, old[0].tobytes(), old[1])
+        elif old[0] == "OverflowError":
+            assert new[0] == "GridFormatError"
+            assert re.fullmatch(r"F: (sample -?\d+ at pixel \d+ (exceeds maxval|is outside).*"
+                                r"|expected \d+ samples, found \d+)", new[1])
+        else:
+            wording = re.sub(r"(sample -\d+ at pixel \d+) exceeds maxval (\d+)",
+                             r"\1 is outside [0, \2]", old[1])
+            assert new == (old[0], wording)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(csv_files())
+    def test_csv_grids(self, content):
+        new = _outcome(grid_module._read_csv_grid, content, ".csv")
+        old = _outcome(reference_csv_grid, content, ".csv")
+        event("loaded" if isinstance(old, np.ndarray) else old[0])
+        if isinstance(old, np.ndarray):
+            assert isinstance(new, np.ndarray)
+            assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+        else:
+            assert new == old

@@ -202,6 +202,12 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match=f"{side} dot 1 has a non-finite"):
             match_diagrams(left, right, p)
 
+    def test_non_finite_dot_message_shows_floats(self):
+        broken = diagram_from_pairs([(0.1, 0.2), (math.nan, 0.9)])
+        with pytest.raises(ValueError) as exc:
+            match_diagrams(broken, broken)
+        assert str(exc.value) == "left dot 1 has a non-finite birth or death: (nan, 0.9)"
+
 
 def many_dots(count: int) -> PersistenceDiagram:
     return PersistenceDiagram(np.full(count, 0.25), np.full(count, 0.75),

@@ -1,12 +1,17 @@
 """Union-find diagram computation against the replay oracle and worked cases."""
 
+import csv
 import hashlib
+import io
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topokit import persistence
@@ -34,6 +39,7 @@ from _support import (
     loop_diagram,
     oracle_diagram,
     random_distinct_grid,
+    reference_diagram_csv,
 )
 
 
@@ -545,3 +551,137 @@ class TestDiagramCsv:
         path.write_text(f"birth,death,birth_px,death_px,essential\n{row}\n", encoding="utf-8")
         with pytest.raises(GridFormatError, match="line 2"):
             load_diagram_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "0.1,0.9,3,99999999999999999999999,0", "0.1,0.9,3,-99999999999999999999999,0",
+        "0.1,0.9,99999999999999999999999,4,0", "0.1,0.9,3,4,99999999999999999999999",
+        "0.1,0.9,3,9223372036854775808,0",
+    ])
+    def test_integers_past_int64_are_unparseable(self, tmp_path, row):
+        path = tmp_path / "dgm.csv"
+        path.write_text(f"birth,death,birth_px,death_px,essential\n0.1,0.9,3,4,0\n{row}\n")
+        with pytest.raises(GridFormatError, match="line 3: unparseable diagram row$"):
+            load_diagram_csv(path)
+
+    def test_largest_int64_pixel_is_read(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_text("birth,death,birth_px,death_px,essential\n0.1,0.9,3,9223372036854775807,0\n")
+        assert load_diagram_csv(path).death_px.tolist() == [2**63 - 1]
+
+    def test_quoted_fields_and_empty_death_pixel(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_text('"birth",death,birth_px,death_px,essential\r\n'
+                        '"0.1",0.9,"3","4\n",0\r\n0.25,1,7,"",1\r\n')
+        back = load_diagram_csv(path)
+        assert back.dots == (PersistentDot(0.1, 0.9, 3, 4), PersistentDot(0.25, 1.0, 7))
+        assert back.birth.flags.c_contiguous and back.death_px.dtype == np.int64
+
+    def test_empty_line_inside_quotes_is_part_of_the_field(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_text('birth,death,birth_px,death_px,essential\n"0.1\n\n",0.9,3,4,0\n')
+        assert load_diagram_csv(path).dots == (PersistentDot(0.1, 0.9, 3, 4),)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1,0.9,3,4,0\n\n0.2,0.9,3,4,0\n", "line 3: expected 5 columns, got 0"),
+        ("0.1,0.9,3,4,0\r\n\r\n", "line 3: expected 5 columns, got 0"),
+        ("0.1,0.9,3,4,0\r\r", "line 3: expected 5 columns, got 0"),
+        ("0.1,0.9,3,4,0\n0.1,1.5,3,4,0\n0.1,0.9,x,4,0\n", "line 3: birth/death outside"),
+        ("0.1,0.9,3,4,0\n0.1,0.9,x,4,0\n0.1,1.5,3,4,0\n", "line 3: unparseable diagram row"),
+        ("0.1,1,3,, 2\n", "line 2: essential must be 0 or 1, got ' 2'"),
+        ("0.1,0.9,3,4\x1f,0\n", "line 2: unparseable diagram row"),
+        ('"0.1\n",0.9,3,4,0\n0.2,0.9,-3,4,0\n', "line 3: negative pixel index"),
+    ])
+    def test_first_bad_row_is_named(self, tmp_path, text, message):
+        path = tmp_path / "dgm.csv"
+        path.write_text("birth,death,birth_px,death_px,essential\n" + text, newline="")
+        with pytest.raises(GridFormatError, match=re.escape(message)):
+            load_diagram_csv(path)
+
+    def test_field_over_the_csv_size_limit_rejected(self, tmp_path):
+        path = tmp_path / "dgm.csv"
+        path.write_text("birth,death,birth_px,death_px,essential\n"
+                        f"0.1,0.{'0' * csv.field_size_limit()}9,3,4,0\n")
+        with pytest.raises(GridFormatError, match="field larger than field limit"):
+            load_diagram_csv(path)
+
+    def test_first_bad_row_of_a_long_file(self, tmp_path):
+        rows = [f"0.1,0.9,{i},{i + 1},0" for i in range(3000)]
+        rows[2500] = "0.1,0.9,2500,-1,0"
+        path = tmp_path / "dgm.csv"
+        path.write_text("birth,death,birth_px,death_px,essential\n" + "\n".join(rows) + "\n")
+        with pytest.raises(GridFormatError, match="line 2502: negative pixel index"):
+            load_diagram_csv(path)
+
+
+REALS = ["0", "1", " 0.5 ", "\t0.25", "+0.5", ".5", "1e-3", "nan", "inf", "1.5", "-0.1", "",
+         "0.2_5", "\u0660.5", "0.5\u00a0", "0.5\x1f", "x", "0.5\n"]
+PIXELS = ["0", "7", " 3 ", "+3", "007", "-0", "-1", "", "1_0", "\u0661", "9223372036854775807",
+          "9223372036854775808", "99999999999999999999999", "-99999999999999999999999", "4\n", "x"]
+FLAGS = ["0", "1", "2", " 1", "1 ", "x", "", "1_0"]
+OVERFLOW = re.compile(r"\s*[-+]?0*[1-9][0-9]{18,}\s*")
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def diagram_rows(draw):
+    if draw(st.sampled_from([True, True, False])):  # a valid row
+        birth = draw(st.floats(0, 1))
+        death = draw(st.floats(birth, 1))
+        essential = draw(st.booleans())
+        cells = [repr(birth), f"{death:.9g}", str(draw(st.integers(0, 10**6))),
+                 "" if essential else str(draw(st.integers(0, 10**6))), str(int(essential))]
+    else:
+        cells = [draw(st.sampled_from(REALS)), draw(st.sampled_from(REALS)),
+                 draw(st.sampled_from(PIXELS)), draw(st.sampled_from(PIXELS)),
+                 draw(st.sampled_from(FLAGS))]
+        cells = cells[:draw(st.sampled_from([5, 5, 5, 4, 0]))] + [""] * draw(st.sampled_from([0, 0, 1]))
+    quoted = st.booleans() if draw(st.booleans()) else st.just(False)
+    return ",".join(_quote(c) if draw(quoted) or "\n" in c else c for c in cells)
+
+
+@st.composite
+def diagram_files(draw):
+    header = draw(st.sampled_from(["birth,death,birth_px,death_px,essential"] * 4 + [
+        '"birth",death,birth_px,death_px,essential', "birth,death", ""]))
+    rows = draw(st.lists(diagram_rows(), max_size=5))
+    breaks = st.sampled_from(["\n", "\r\n"] if draw(st.booleans()) else ["\n", "\r\n", "\r", "\n\n"])
+    return "".join(line + draw(breaks) for line in [header, *rows]).encode("utf-8")
+
+
+def _diagram_outcome(read, content: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(content)
+        try:
+            return read(path)
+        except (GridFormatError, OverflowError) as exc:
+            return type(exc).__name__, str(exc).replace(str(path), "F")
+
+
+class TestDiagramCsvAgainstTheOldParser:
+    """numpy's parser gives the columns and the messages csv.reader, float() and int() gave.
+
+    The intended difference: an integer past int64 makes its row unparseable. The old
+    parser read it, so it failed later: at a check of that row or of a later one, or
+    with an OverflowError once every row had passed.
+    """
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(diagram_files())
+    def test_diagram_csvs(self, content):
+        new = _diagram_outcome(load_diagram_csv, content)
+        old = _diagram_outcome(reference_diagram_csv, content)
+        event("loaded" if isinstance(old, PersistenceDiagram) else old[0])
+        if isinstance(old, PersistenceDiagram):
+            assert isinstance(new, PersistenceDiagram)
+            for a, b in zip(vars(new).values(), vars(old).values()):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        elif new != old:
+            line = int(re.fullmatch(r"F: line (\d+): unparseable diagram row", new[1])[1])
+            rows = list(csv.reader(io.StringIO(content.decode(), newline="")))
+            assert any(OVERFLOW.fullmatch(cell) for cell in rows[line - 1])
+            # The old parser read such a row and failed later, at a check or at the end.
+            assert old[0] == "OverflowError" or int(re.match(r"F: line (\d+)", old[1])[1]) >= line
