@@ -248,8 +248,11 @@ def load_grid(path, fmt: str | None = None) -> np.ndarray:
     return as_likelihood(_read_csv_grid(path))
 
 
-def save_csv_table(values, path, fmt: str = REAL_FORMAT, header: str = "") -> None:
-    """Write a 2D array as rows of comma-separated fmt cells, after the header line if given."""
+def save_csv_table(values, path, fmt: str | list[str] = REAL_FORMAT, header: str = "") -> None:
+    """Write a 2D array as rows of comma-separated cells, after the header line if given.
+
+    fmt is one %-format for every cell or a list of one per column.
+    """
     with open(path, "w") as fh:  # given a path, np.savetxt would gzip one that ends in .gz
         np.savetxt(fh, values, fmt=fmt, delimiter=",", header=header, comments="")
 

@@ -47,19 +47,18 @@ compute_diagram keeps the stable argsort (an ndarray) and the birth/death
 pixels of its two most recent calls; a call with the same shape,
 connectivity and argsort reuses those pixels and skips the kernel.
 
-load_diagram_csv reads every row in one numpy pass: numpy's tokenizer takes
-quoted fields as csv.reader does, and its number grammar is the grid
-loaders' (grid.parse_text). csv.reader splits the rows again only when that
-pass fails, when a check fails, or when the file may hold what numpy and
-csv.reader read differently (an empty line, a field over csv's size
-limit); that re-scan names the first bad row.
+load_diagram_csv streams the file through csv.reader, the only thing that
+splits its rows, and hands numpy's parser 1024 rows at a time with every cell
+quoted back; the number grammar is the grid loaders' (grid.parse_text). A
+chunk that fails is re-read one row at a time to name the first bad row.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
-import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,17 +336,17 @@ _ROW = np.dtype([("birth", np.float64), ("death", np.float64), ("birth_px", np.i
                  ("death_px", object), ("essential", np.int64)])  # death_px may be empty
 _ROW_ERRORS = ("birth/death outside [0, 1]", "negative pixel index",
                "essential must be 0 or 1, got {!r}", "essential flag and death_px disagree")
+_CHUNK_ROWS = 1024  # rows numpy reads at once
 
 
-def _parse_rows(lines, skiprows: int = 0) -> tuple[np.ndarray, ...]:
-    """Diagram rows read by numpy's CSV tokenizer (quotes as csv.reader takes them).
+def _parse_rows(lines) -> tuple[np.ndarray, ...]:
+    """Diagram rows read by numpy's CSV tokenizer, quoted fields taken as csv.reader takes them.
 
     Returns birth, death, birth_px, death_px (-1 where empty) and the (rows, 4)
     matrix of failed checks in _ROW_ERRORS order. ValueError when a row does not
     parse. The caller rejects text that is not grid.plain_ascii.
     """
-    table = parse_text(lines, dtype=_ROW, delimiter=",", quotechar='"', skiprows=skiprows,
-                       ndmin=1)
+    table = parse_text(lines, dtype=_ROW, delimiter=",", quotechar='"', ndmin=1)
     death_px = np.full(len(table), -1, dtype=np.int64)
     given = table["death_px"] != ""
     cells = table["death_px"][given]
@@ -370,87 +369,61 @@ def _parse_rows(lines, skiprows: int = 0) -> tuple[np.ndarray, ...]:
     return birth, death, birth_px, death_px, failed
 
 
-def _requote(row: list[str]) -> str:
-    """The cells as one CSV line that numpy's tokenizer splits back into the same cells."""
-    return ",".join('"' + cell.replace('"', '""') + '"' for cell in row)
+def _read_rows(rows: list[list[str]], line: int) -> list[list[np.ndarray]]:
+    """The columns of csv rows, the first of them on the given line, as a list of chunks.
 
-
-def _rows_pass(rows: list[list[str]]) -> bool:
-    """True if every row has 5 plain ASCII cells that parse and pass every check."""
-    try:
-        return (all(len(row) == 5 for row in rows) and plain_ascii("".join(map("".join, rows)))
-                and not _parse_rows(map(_requote, rows))[-1].any())
-    except ValueError:
-        return False
-
-
-_RESCAN_CHUNK = 1024  # rows the re-scan hands numpy at once
-
-
-def _raise_first_bad_row(path, text: str) -> None:
-    """Raise the GridFormatError of the first bad row as csv.reader splits the rows.
-
-    Returns if every row is good. numpy reads the rows a chunk at a time; within the
-    first chunk that fails, one at a time, so the row's first failing check is reported
-    in _ROW_ERRORS order. A cell that is not plain_ascii is unparseable.
+    Cells are quoted back, so a line break in one stays in it; a cell that holds a quote
+    or is not plain_ascii is unparseable. Rows that fail together are re-read one at a
+    time, and the first bad one raises a GridFormatError (without the path) naming its
+    first failing check: the column count, the parse, then _ROW_ERRORS in order.
     """
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise GridFormatError(f"{path}: {exc}") from None
-    if not rows or rows[0] != DIAGRAM_CSV_HEADER:
-        raise GridFormatError(f"{path}: missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
-    for start in range(1, len(rows), _RESCAN_CHUNK):
-        chunk = rows[start:start + _RESCAN_CHUNK]
-        if _rows_pass(chunk):
-            continue
-        for ln, row in enumerate(chunk, start=start + 1):
-            if len(row) != 5:
-                raise GridFormatError(f"{path}: line {ln}: expected 5 columns, got {len(row)}")
-            try:
-                if not plain_ascii("".join(row)):
-                    raise ValueError
-                failed = _parse_rows([_requote(row)])[-1][0]
-            except ValueError:
-                raise GridFormatError(f"{path}: line {ln}: unparseable diagram row") from None
-            if failed.any():
-                message = _ROW_ERRORS[int(np.argmax(failed))].format(row[4])
-                raise GridFormatError(f"{path}: line {ln}: {message}")
-
-
-def _longest_run(data: bytes) -> int:
-    """Length of the longest run of bytes between two commas: no csv field is longer."""
-    commas = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(","))
-    return int(np.diff(commas, prepend=-1, append=len(data)).max()) - 1
+    failed = None
+    text = "".join(map("".join, rows))
+    if all(len(row) == 5 for row in rows) and plain_ascii(text) and '"' not in text:
+        with contextlib.suppress(ValueError):
+            *columns, failed = _parse_rows('"' + '","'.join(row) + '"' for row in rows)
+            if not failed.any():
+                return [columns]
+    if len(rows) > 1:
+        return [chunk for i, row in enumerate(rows) for chunk in _read_rows([row], line + i)]
+    if len(rows[0]) != 5:
+        message = f"expected 5 columns, got {len(rows[0])}"
+    elif failed is None:
+        message = "unparseable diagram row"
+    else:
+        message = _ROW_ERRORS[int(np.argmax(failed[0]))].format(rows[0][4])
+    raise GridFormatError(f"line {line}: {message}")
 
 
 def load_diagram_csv(path) -> PersistenceDiagram:
     """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative.
 
-    Rows are split as csv.reader splits them (quoted fields, an empty death_px for
-    the essential dot) and numbers are read by numpy's parser in one pass. A bad
-    row is named by its line, the first in file order.
+    Rows are split as csv.reader splits them (quoted fields, an empty death_px for the
+    essential dot). The error is, in this order: a non-UTF-8 byte anywhere, csv.reader's
+    first error (a field over its size limit), a bad header, the first bad row.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
-        text = data.decode("utf-8")
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            try:
+                try:
+                    if next(rows, None) != DIAGRAM_CSV_HEADER:
+                        raise GridFormatError(
+                            f"missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
+                    chunks = []
+                    for line in itertools.count(2, _CHUNK_ROWS):
+                        chunk = list(itertools.islice(rows, _CHUNK_ROWS))
+                        chunks += _read_rows(chunk, line)  # an empty chunk gives empty columns
+                        if len(chunk) < _CHUNK_ROWS:
+                            return PersistenceDiagram(*map(np.concatenate, zip(*chunks)))
+                except GridFormatError as exc:
+                    problem = exc
+                    collections.deque(rows, maxlen=0)  # a later csv.Error or non-UTF-8 byte wins
+            except csv.Error as exc:
+                problem = exc
+                while fh.read(1 << 20):  # a later non-UTF-8 byte wins
+                    pass
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
-    rows = csv.reader(io.StringIO(text, newline=""))
-    columns = None
-    with contextlib.suppress(ValueError, csv.Error):
-        if next(rows, None) == DIAGRAM_CSV_HEADER and plain_ascii(text):
-            *columns, failed = _parse_rows(io.StringIO(text, newline=None), rows.line_num)
-            if failed.any():
-                columns = None
-    # numpy skips empty lines, which csv.reader reads as rows of no columns, and has no
-    # field size limit: a line break right after another, or a long run between two
-    # commas, sends the file through csv.reader.
-    if columns is None or "\n\n" in text or "\n\r" in text or "\r\r" in text or (
-            len(data) > csv.field_size_limit() and _longest_run(data) > csv.field_size_limit()):
-        _raise_first_bad_row(path, text)
-    if columns is None:  # unreachable unless numpy and csv.reader split the rows differently
-        raise GridFormatError(f"{path}: unparseable diagram CSV")
-    return PersistenceDiagram(*columns)
-
+    raise GridFormatError(f"{path}: {problem}") from None

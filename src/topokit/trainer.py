@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from .diagram import DEFAULT_PHI
-from .grid import as_mask, format_real
+from .grid import REAL_FORMAT, as_mask, save_csv_table
 from .losses import (
     NOISE_MODES,
     NOISE_SQUARED,
@@ -186,14 +185,9 @@ def run_simulation(student_init_logits, config: TrainConfig,
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:
-    lines = [",".join(TRACE_CSV_HEADER)]
-    for r in trace.records:
-        lines.append(
-            f"{r.step},{format_real(r.ramp_weight)},{format_real(r.pixel_loss)},"
-            f"{format_real(r.cons_loss)},{format_real(r.rem_loss)},"
-            f"{r.signal_dots},{r.noise_dots}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.array([[getattr(r, name) for name in TRACE_CSV_HEADER] for r in trace.records],
+                     dtype=object).reshape(-1, len(TRACE_CSV_HEADER))  # object: ints stay ints
+    save_csv_table(table, path, ["%d", *[REAL_FORMAT] * 4, "%d", "%d"], ",".join(TRACE_CSV_HEADER))
 
 
 def likelihood_to_logits(grid, clip: float = 1e-6) -> np.ndarray:

@@ -20,7 +20,7 @@ from topokit.losses import (
     topo_loss_and_gradient,
 )
 from topokit.scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
-from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation
+from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation, write_trace_csv
 
 from _support import random_distinct_grid
 
@@ -332,6 +332,12 @@ FROZEN_TRACE_DIGESTS = {
     "noise-removal": "149e682a3b643c3b58c50070ce3d1774b1bd5187b93aed2aa4b80d0f30c0afad",
     "three-basins": "c27c940e9984535b9962902f4945de4b379242b07162c72a22da99e73689f18d",
 }
+# SHA-256 of write_trace_csv's file for the same two traces, recorded with the writer
+# that formatted each row with format_real in Python.
+FROZEN_TRACE_CSV_DIGESTS = {
+    "noise-removal": "bacadd618fa05e02acf07c5ca3a5b65b8587e9725c1b48b6089cfdfdab77531c",
+    "three-basins": "2f45c9e3aa0cc2510b0a92e38a2ea54cc529fd8b37aeb3ae3ecf889c37d84a28",
+}
 
 
 class TestFrozenBytes:
@@ -347,3 +353,9 @@ class TestFrozenBytes:
     @pytest.mark.parametrize("scenario", sorted(FROZEN_TRACE_DIGESTS))
     def test_trainer_trace_digest(self, scenario):
         assert _trace_digest(_frozen_trace(scenario)) == FROZEN_TRACE_DIGESTS[scenario]
+
+    @pytest.mark.parametrize("scenario", sorted(FROZEN_TRACE_CSV_DIGESTS))
+    def test_trainer_trace_csv_digest(self, scenario, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(_frozen_trace(scenario), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_TRACE_CSV_DIGESTS[scenario]
