@@ -30,10 +30,10 @@ from .losses import (
     NOISE_DIAGONAL,
     NOISE_SQUARED,
     TopoLossReport,
-    cross_entropy_loss,
-    dice_loss,
+    cross_entropy_loss_and_gradient,
+    dice_loss_and_gradient,
     finite_difference_check,
-    supervised_loss,
+    supervised_loss_and_gradient,
     topo_loss_and_gradient,
 )
 from .matching import DIAGONAL, DiagramMatching, match_diagrams
@@ -64,10 +64,11 @@ __all__ = [
     "LabeledSupervision", "MetricReport", "PersistenceDiagram", "PersistentDot",
     "StepRecord", "TopoLossReport", "TrainConfig", "TrainTrace",
     "as_likelihood", "as_mask", "betti_curve", "betti_error", "betti_matching_error",
-    "compute_diagram", "compute_metrics", "cross_entropy_loss", "decompose", "dice_loss",
+    "compute_diagram", "compute_metrics", "cross_entropy_loss_and_gradient", "decompose",
+    "dice_loss_and_gradient",
     "ema_update", "finite_difference_check", "label_components", "likelihood_to_logits",
     "load_diagram_csv", "load_grid", "load_mask_pgm", "match_diagrams", "ramp_up_weight",
     "run_simulation", "save_diagram_csv", "save_grid_csv", "save_grid_pgm", "save_mask_pgm",
-    "supervised_loss", "threshold", "topo_loss_and_gradient", "total_persistence",
+    "supervised_loss_and_gradient", "threshold", "topo_loss_and_gradient", "total_persistence",
     "variation_of_information", "write_trace_csv",
 ]

@@ -29,7 +29,7 @@ from .grid import (
 from .losses import (
     NOISE_MODES,
     NOISE_SQUARED,
-    cross_entropy_loss,
+    cross_entropy_loss_and_gradient,
     finite_difference_check,
     topo_loss_and_gradient,
 )
@@ -132,7 +132,7 @@ def _cmd_loss(args) -> int:
         ("cons", float(report.cons_loss)),
         ("rem", float(report.rem_loss)),
         ("topo", float(report.topo_loss)),
-        ("pixel_ce", float(cross_entropy_loss(student, teacher))),
+        ("pixel_ce", cross_entropy_loss_and_gradient(student, teacher)[0]),
     ])
     return 0
 

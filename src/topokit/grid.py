@@ -84,6 +84,8 @@ def threshold(grid, c: float, direction: str = SUBLEVEL) -> np.ndarray:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"threshold must be finite, got {c}")
     return grid <= c if direction == SUBLEVEL else grid >= c
 
 
@@ -261,22 +263,27 @@ def save_grid_csv(grid, path) -> None:
     save_csv_table(as_likelihood(grid), path)
 
 
-def _write_p2(samples: np.ndarray, path, maxval: int) -> None:
-    """Write a 2D integer sample array as an ascii (P2) PGM, 16 samples per line."""
-    h, w = samples.shape
-    out = [f"P2\n{w} {h}\n{maxval}"]
-    flat = samples.ravel()
-    for start in range(0, flat.size, 16):
-        out.append(" ".join(str(int(v)) for v in flat[start:start + 16]))
-    Path(path).write_text("\n".join(out) + "\n")
+def _write_p2(values, path, maxval: int) -> None:
+    """Write a 2D array of values in [0, 1] as an ascii (P2) PGM of round(v * maxval).
+
+    16 samples per line; maxval must be an integer the loader accepts.
+    """
+    if isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer)) \
+            or not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval must be an integer in [1, 65535], got {maxval!r}")
+    h, w = values.shape
+    flat = np.rint(values.ravel() * maxval).astype(np.int64)
+    whole = flat.size - flat.size % 16
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{w} {h}\n{maxval}\n")
+        np.savetxt(fh, flat[:whole].reshape(-1, 16), fmt="%d", delimiter=" ")
+        if whole < flat.size:
+            np.savetxt(fh, flat[whole:].reshape(1, -1), fmt="%d", delimiter=" ")
 
 
 def save_grid_pgm(grid, path, maxval: int = 65535) -> None:
     """Write an ascii (P2) PGM, quantizing values to round(v * maxval)."""
-    grid = as_likelihood(grid)
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
-    _write_p2(np.rint(grid * maxval).astype(np.int64).clip(0, maxval), path, maxval)
+    _write_p2(as_likelihood(grid), path, maxval)
 
 
 def load_mask_pgm(path) -> np.ndarray:
@@ -286,4 +293,5 @@ def load_mask_pgm(path) -> np.ndarray:
 
 
 def save_mask_pgm(mask, path, maxval: int = 255) -> None:
-    _write_p2(np.where(as_mask(mask), maxval, 0), path, maxval)
+    """Write an ascii (P2) PGM of maxval at foreground pixels and 0 elsewhere."""
+    _write_p2(as_mask(mask), path, maxval)

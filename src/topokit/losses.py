@@ -1,7 +1,9 @@
-"""Pixel losses, topological losses, analytic gradients, and a gradient check.
+"""Loss terms, each one call returning (loss, gradient), and a gradient check.
 
-The topological losses compare the student likelihood against a fixed
-teacher likelihood through their persistence diagrams:
+The pixel terms are cross_entropy_loss_and_gradient, dice_loss_and_gradient
+and supervised_loss_and_gradient, their weighted sum against a mask. The
+topological losses (topo_loss_and_gradient) compare the student likelihood
+against a fixed teacher likelihood through their persistence diagrams:
 
 * signal consistency: student dots with persistence above the threshold are
   matched to the teacher's signal dots (exact 2-Wasserstein matching) and
@@ -54,55 +56,38 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def cross_entropy_loss(prediction, target) -> float:
-    """Mean binary cross entropy; prediction clamped to [1e-7, 1 - 1e-7]."""
+def cross_entropy_loss_and_gradient(prediction, target) -> tuple[float, np.ndarray]:
+    """Mean binary cross entropy, prediction clamped to [1e-7, 1 - 1e-7], and its gradient.
+
+    The gradient is d(mean CE)/d(prediction), zero wherever the clamp is active.
+    """
     pred = as_likelihood(prediction)
     tgt = as_likelihood(target)
     _check_same_shape(pred, tgt)
     s = np.clip(pred, CE_CLAMP, 1.0 - CE_CLAMP)
-    return float(np.mean(-(tgt * np.log(s) + (1.0 - tgt) * np.log1p(-s))))
-
-
-def cross_entropy_gradient(prediction, target) -> np.ndarray:
-    """d(mean CE)/d(prediction); zero wherever the clamp is active."""
-    pred = as_likelihood(prediction)
-    tgt = as_likelihood(target)
-    _check_same_shape(pred, tgt)
-    s = np.clip(pred, CE_CLAMP, 1.0 - CE_CLAMP)
+    loss = float(np.mean(-(tgt * np.log(s) + (1.0 - tgt) * np.log1p(-s))))
     inside = (pred > CE_CLAMP) & (pred < 1.0 - CE_CLAMP)
     grad = (s - tgt) / (s * (1.0 - s)) / pred.size
-    return np.where(inside, grad, 0.0)
+    return loss, np.where(inside, grad, 0.0)
 
 
-def dice_loss(prediction, target_mask) -> float:
-    """Soft Dice loss 1 - (2|P.T| + eps) / (|P| + |T| + eps), eps = 1e-6."""
-    pred = as_likelihood(prediction)
-    mask = as_mask(target_mask).astype(np.float64)
-    _check_same_shape(pred, mask)
-    inter = float((pred * mask).sum())
-    return float(1.0 - (2.0 * inter + DICE_EPS) / (pred.sum() + mask.sum() + DICE_EPS))
-
-
-def dice_gradient(prediction, target_mask) -> np.ndarray:
+def dice_loss_and_gradient(prediction, target_mask) -> tuple[float, np.ndarray]:
+    """Soft Dice loss 1 - (2|P.T| + eps) / (|P| + |T| + eps), eps = 1e-6, and its gradient."""
     pred = as_likelihood(prediction)
     mask = as_mask(target_mask).astype(np.float64)
     _check_same_shape(pred, mask)
     denom = pred.sum() + mask.sum() + DICE_EPS
     numer = 2.0 * float((pred * mask).sum()) + DICE_EPS
-    return -(2.0 * mask * denom - numer) / (denom * denom)
+    return float(1.0 - numer / denom), -(2.0 * mask * denom - numer) / (denom * denom)
 
 
-def supervised_loss(prediction, target_mask, w1: float = 0.5, w2: float = 0.5) -> float:
-    """w1 * cross entropy + w2 * Dice against a binary mask."""
+def supervised_loss_and_gradient(prediction, target_mask, w1: float = 0.5,
+                                 w2: float = 0.5) -> tuple[float, np.ndarray]:
+    """w1 * cross entropy + w2 * Dice against a binary mask, and its gradient."""
     mask = as_mask(target_mask)
-    return w1 * cross_entropy_loss(prediction, mask.astype(np.float64)) + \
-        w2 * dice_loss(prediction, mask)
-
-
-def supervised_gradient(prediction, target_mask, w1: float = 0.5, w2: float = 0.5) -> np.ndarray:
-    mask = as_mask(target_mask)
-    return w1 * cross_entropy_gradient(prediction, mask.astype(np.float64)) + \
-        w2 * dice_gradient(prediction, mask)
+    ce, ce_grad = cross_entropy_loss_and_gradient(prediction, mask.astype(np.float64))
+    dice, dice_grad = dice_loss_and_gradient(prediction, mask)
+    return w1 * ce + w2 * dice, w1 * ce_grad + w2 * dice_grad
 
 
 def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,

@@ -26,16 +26,10 @@ from .grid import REAL_FORMAT, as_mask, save_csv_table
 from .losses import (
     NOISE_MODES,
     NOISE_SQUARED,
-    cross_entropy_gradient,
-    cross_entropy_loss,
-    supervised_gradient,
+    cross_entropy_loss_and_gradient,
+    supervised_loss_and_gradient,
     topo_loss_and_gradient,
 )
-
-TRACE_CSV_HEADER = [
-    "step", "ramp_weight", "pixel_loss", "cons_loss", "rem_loss",
-    "signal_dots", "noise_dots",
-]
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,9 @@ class StepRecord:
     noise_dots: int
 
 
+TRACE_CSV_HEADER = [f.name for f in fields(StepRecord)]
+
+
 @dataclass
 class TrainTrace:
     records: list[StepRecord] = field(default_factory=list)
@@ -153,8 +150,8 @@ def run_simulation(student_init_logits, config: TrainConfig,
             f_strong = expit(theta_s + rng.normal(0.0, config.strong_noise_sigma, theta_s.shape))
 
         lam1 = ramp_up_weight(tau, config.steps, config.ramp_k)
-        pixel = cross_entropy_loss(f_strong, f_teacher)
-        grad = lam1 * cross_entropy_gradient(f_strong, f_teacher) * f_strong * (1.0 - f_strong)
+        pixel, pixel_grad = cross_entropy_loss_and_gradient(f_strong, f_teacher)
+        grad = lam1 * pixel_grad * f_strong * (1.0 - f_strong)
 
         topo_in = f_strong if config.topo_on_perturbed else f_clean
         report, topo_grad = topo_loss_and_gradient(
@@ -164,8 +161,8 @@ def run_simulation(student_init_logits, config: TrainConfig,
 
         if config.labeled is not None:
             sup = config.labeled
-            grad += supervised_gradient(f_clean, sup.mask, sup.w1, sup.w2) \
-                * f_clean * (1.0 - f_clean)
+            _, sup_grad = supervised_loss_and_gradient(f_clean, sup.mask, sup.w1, sup.w2)
+            grad += sup_grad * f_clean * (1.0 - f_clean)
 
         theta_s = theta_s - config.learning_rate * grad
         theta_t = ema_update(theta_t, theta_s, config.ema_decay)
@@ -187,7 +184,8 @@ def run_simulation(student_init_logits, config: TrainConfig,
 def write_trace_csv(trace: TrainTrace, path) -> None:
     table = np.array([[getattr(r, name) for name in TRACE_CSV_HEADER] for r in trace.records],
                      dtype=object).reshape(-1, len(TRACE_CSV_HEADER))  # object: ints stay ints
-    save_csv_table(table, path, ["%d", *[REAL_FORMAT] * 4, "%d", "%d"], ",".join(TRACE_CSV_HEADER))
+    formats = ["%d" if f.type == "int" else REAL_FORMAT for f in fields(StepRecord)]
+    save_csv_table(table, path, formats, ",".join(TRACE_CSV_HEADER))
 
 
 def likelihood_to_logits(grid, clip: float = 1e-6) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Grid types, thresholding, labeling, and PGM/CSV round trips."""
 
+import hashlib
 import re
 import tempfile
 import tracemalloc
@@ -83,6 +84,11 @@ class TestThreshold:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
             threshold([[0.5]], 0.5, "sideways")
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ValueError, match="finite"):
+            threshold([[0.5]], level)
 
     def test_filtration_monotonicity(self):
         rng = np.random.default_rng(11)
@@ -289,6 +295,13 @@ class TestPgm:
         back = load_grid(path)
         assert np.abs(back - g).max() <= 0.5 / 65535 + 1e-12
 
+    @pytest.mark.parametrize("maxval", [0, 70000, -1, 255.5, True, "255"])
+    def test_save_rejects_a_maxval_the_loader_rejects(self, tmp_path, maxval):
+        path = tmp_path / "g.pgm"
+        with pytest.raises(ValueError, match="maxval"):
+            save_grid_pgm([[0.5]], path, maxval=maxval)
+        assert not path.exists()
+
     def test_save_is_deterministic(self, tmp_path):
         g = random_distinct_grid(np.random.default_rng(4), 4, 4)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -395,6 +408,63 @@ class TestMaskPgm:
         path = tmp_path / "m.pgm"
         path.write_text("P2\n3 1\n255\n0 7 255\n")
         assert load_mask_pgm(path).tolist() == [[False, True, True]]
+
+    @pytest.mark.parametrize("maxval", [0, 70000, -1, 255.5, True, "255"])
+    def test_save_rejects_a_maxval_the_loader_rejects(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match="maxval"):
+            save_mask_pgm([[True, False]], path, maxval=maxval)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", [1, np.int64(7), 65535])
+    def test_every_valid_maxval_round_trips(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        save_mask_pgm([[True, False]], path, maxval=maxval)
+        assert load_mask_pgm(path).tolist() == [[True, False]]
+
+
+# SHA-256 of the P2 files the writers make for seeded random grids, recorded with the
+# writer that joined each 16-sample line in Python.
+FROZEN_PGM_DIGESTS = {
+    "grid16/1x1": "311cfb55eed004501736db8a731de31f06137f6d10b4f991ed3997a04f100673",
+    "grid8/1x1": "4da7561ba015db6ccdc19161481f375af700da7234e462edefffb0713e41cc8a",
+    "mask/1x1": "fb497549cb6f218e02c61ef46d1b96906e50c8148153b42f481b18d9c48c415b",
+    "grid16/1x15": "f68823e0fdcf3b00981fb0d1387eeedb6c4940f3a2d436da649224668b1788db",
+    "grid8/1x15": "c0b17227a203a4ab6795c8c2f3d7803bbb71458a01457dfe74416f6fe43bb9e5",
+    "mask/1x15": "c6bfea13c75f0a3cf2154fe9b21d182fd285124d3807030291377ccaae21e034",
+    "grid16/1x16": "0def1b5d3d6f245e7f31776a0361099833b43baa314bf773272eabbcba20f070",
+    "grid8/1x16": "8e6e3cf75bd2fe06d3582ff1e7d0adc0dbd0cfb484d9ed634aab16a8819bebc7",
+    "mask/1x16": "ad44edcdbd9ad73a8a8fb6169b90222ad9f03587ef0d2d0175542d3cc2c5e2a2",
+    "grid16/1x17": "578d6a42a5a72b739d18c0a9e4c178f86a3d337fa1b36e1cba55485099d2d531",
+    "grid8/1x17": "f68d513e38f53bd453733aa2effda3c293a0e58d103d3f1893313cc3c010cff0",
+    "mask/1x17": "66d8ecfb8b0c5dbc520ec0ad8b28b7cba1cc7335f70f2863f923a5cd6b9729ae",
+    "grid16/4x4": "d321b82230363890765e862c342237d025f7a1a4876924b65614407724f8ba20",
+    "grid8/4x4": "f62f3382b9bc59d89ad5cf656625aad08cd271fb44e00cb04302abb9e612f0cb",
+    "mask/4x4": "9ca84d926d97c6be3aa2454c3d0db36809f4d166e5395a246e9c6319b6a5f42a",
+    "grid16/3x7": "c3b3d2fcb92bc1cf1eb8ac9465371618008ea10c5616a1e16a179f29d67c8be6",
+    "grid8/3x7": "b853e42a194819158f6cb4a651b8550b7d0744500d966f401546a216ed5e259b",
+    "mask/3x7": "b45351ca4858ba8072b1e40935cbd057e09109b9fec65381d5c306d7a2827696",
+    "grid16/33x31": "b5c9434bf91d9119ccf64052d0174fca37abaef831e77903456f00b7d631297a",
+    "grid8/33x31": "f4268809b9b9f3c6878f6ed8303ba0b74fe2ed0f7912c5ecaf813b3948f78a40",
+    "mask/33x31": "75770348a4087bd5e5867e516595eaa51df8ac3be5bf3162297e489d7721b741",
+    "grid16/1024x1024": "6d758e080cd86d31edf496dce84a8623ab8beea990f8a71bd6e4a5dfea781316",
+    "grid8/1024x1024": "f1511a8b3b7c13b19e3d0a573b43b740e35186e97d985079c8722a572b2ea06f",
+    "mask/1024x1024": "9120d18b9eb692b564ad0068289c47b610cb7e527c875ad4833159fcdd3e728d",
+}
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("case", FROZEN_PGM_DIGESTS)
+    def test_pgm_writer_digest(self, case, tmp_path):
+        writer, shape = case.split("/")
+        h, w = map(int, shape.split("x"))
+        grid = np.random.default_rng(h * 10007 + w).uniform(0.0, 1.0, (h, w))
+        path = tmp_path / "out.pgm"
+        if writer == "mask":
+            save_mask_pgm(grid < 0.5, path)
+        else:
+            save_grid_pgm(grid, path, 65535 if writer == "grid16" else 255)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_PGM_DIGESTS[case]
 
 
 class TestNumpyGrammar:

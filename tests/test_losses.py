@@ -10,47 +10,58 @@ from hypothesis import strategies as st
 
 from topokit.losses import (
     NOISE_DIAGONAL,
-    cross_entropy_gradient,
-    cross_entropy_loss,
-    dice_gradient,
-    dice_loss,
+    cross_entropy_loss_and_gradient,
+    dice_loss_and_gradient,
     finite_difference_check,
-    supervised_gradient,
-    supervised_loss,
+    supervised_loss_and_gradient,
     topo_loss_and_gradient,
 )
 from topokit.scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
-from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation, write_trace_csv
+from topokit.trainer import (
+    LabeledSupervision,
+    TrainConfig,
+    likelihood_to_logits,
+    run_simulation,
+    write_trace_csv,
+)
 
 from _support import random_distinct_grid
 
 
+def _ce_loss(prediction, target):
+    return cross_entropy_loss_and_gradient(prediction, target)[0]
+
+
+def _dice_loss(prediction, target_mask):
+    return dice_loss_and_gradient(prediction, target_mask)[0]
+
+
 class TestCrossEntropy:
     def test_half_versus_one(self):
-        assert cross_entropy_loss([[0.5]], [[1.0]]) == pytest.approx(math.log(2), abs=1e-15)
+        assert _ce_loss([[0.5]], [[1.0]]) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_clamp_floor(self):
-        assert cross_entropy_loss([[0.0]], [[1.0]]) == pytest.approx(
+        assert _ce_loss([[0.0]], [[1.0]]) == pytest.approx(
             16.11809565095832, abs=1e-12
         )
 
     def test_identity_binary_is_tiny(self):
         pred = [[1.0, 0.0], [0.0, 1.0]]
-        assert cross_entropy_loss(pred, pred) < 1e-6
+        assert _ce_loss(pred, pred) < 1e-6
 
     def test_mean_over_pixels(self):
-        one = cross_entropy_loss([[0.5]], [[1.0]])
-        four = cross_entropy_loss([[0.5] * 4], [[1.0] * 4])
+        one = _ce_loss([[0.5]], [[1.0]])
+        four = _ce_loss([[0.5] * 4], [[1.0] * 4])
         assert four == pytest.approx(one, abs=1e-15)
 
     def test_gradient_closed_form(self):
-        grad = cross_entropy_gradient([[0.5, 0.25]], [[1.0, 0.0]])
+        _, grad = cross_entropy_loss_and_gradient([[0.5, 0.25]], [[1.0, 0.0]])
         # (s - t) / (s (1 - s)) / N
         assert grad[0, 0] == pytest.approx((0.5 - 1.0) / 0.25 / 2, abs=1e-12)
         assert grad[0, 1] == pytest.approx((0.25 - 0.0) / (0.25 * 0.75) / 2, abs=1e-12)
 
     def test_gradient_zero_under_clamp(self):
-        grad = cross_entropy_gradient([[0.0, 1.0]], [[1.0, 1.0]])
+        _, grad = cross_entropy_loss_and_gradient([[0.0, 1.0]], [[1.0, 1.0]])
         assert grad[0, 0] == 0.0
         assert grad[0, 1] == 0.0
 
@@ -58,44 +69,48 @@ class TestCrossEntropy:
         rng = np.random.default_rng(3)
         pred = rng.uniform(0.2, 0.8, (3, 3))
         tgt = rng.uniform(0.0, 1.0, (3, 3))
-        grad = cross_entropy_gradient(pred, tgt)
+        _, grad = cross_entropy_loss_and_gradient(pred, tgt)
         h = 1e-7
         for px in range(pred.size):
             plus, minus = pred.copy(), pred.copy()
             plus.flat[px] += h
             minus.flat[px] -= h
-            fd = (cross_entropy_loss(plus, tgt) - cross_entropy_loss(minus, tgt)) / (2 * h)
+            fd = (_ce_loss(plus, tgt) - _ce_loss(minus, tgt)) / (2 * h)
             assert grad.flat[px] == pytest.approx(fd, rel=1e-5)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cross_entropy_loss_and_gradient([[0.1, 0.2]], [[0.1], [0.2]])
 
 
 class TestDice:
     def test_frozen_value(self):
         # 1 - (2*1.5 + 1e-6) / (1.5 + 3 + 1e-6) = 1500000 / 4500001
-        assert dice_loss([[0.5, 0.5, 0.5]], [[1, 1, 1]]) == pytest.approx(
+        assert _dice_loss([[0.5, 0.5, 0.5]], [[1, 1, 1]]) == pytest.approx(
             1500000 / 4500001, abs=1e-15
         )
 
     def test_identity_binary_near_zero(self):
         mask = [[1, 0], [1, 1]]
-        assert dice_loss(np.array(mask, dtype=float), mask) < 1e-6
+        assert _dice_loss(np.array(mask, dtype=float), mask) < 1e-6
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         pred = rng.uniform(0.2, 0.8, (3, 3))
         mask = rng.uniform(size=(3, 3)) < 0.5
-        grad = dice_gradient(pred, mask)
+        _, grad = dice_loss_and_gradient(pred, mask)
         h = 1e-7
         for px in range(pred.size):
             plus, minus = pred.copy(), pred.copy()
             plus.flat[px] += h
             minus.flat[px] -= h
-            fd = (dice_loss(plus, mask) - dice_loss(minus, mask)) / (2 * h)
+            fd = (_dice_loss(plus, mask) - _dice_loss(minus, mask)) / (2 * h)
             assert grad.flat[px] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
 class TestSupervised:
     def test_frozen_combination(self):
-        value = supervised_loss([[0.5, 0.5, 0.5]], [[1, 1, 1]], 0.5, 0.5)
+        value, _ = supervised_loss_and_gradient([[0.5, 0.5, 0.5]], [[1, 1, 1]], 0.5, 0.5)
         expected = 0.5 * math.log(2) + 0.5 * (1500000 / 4500001)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -103,10 +118,11 @@ class TestSupervised:
         rng = np.random.default_rng(7)
         pred = rng.uniform(0.2, 0.8, (2, 3))
         mask = rng.uniform(size=(2, 3)) < 0.5
-        got = supervised_gradient(pred, mask, 0.25, 0.75)
-        want = 0.25 * cross_entropy_gradient(pred, mask.astype(float)) \
-            + 0.75 * dice_gradient(pred, mask)
-        assert np.allclose(got, want, atol=1e-15)
+        value, got = supervised_loss_and_gradient(pred, mask, 0.25, 0.75)
+        ce, ce_grad = cross_entropy_loss_and_gradient(pred, mask.astype(float))
+        dice, dice_grad = dice_loss_and_gradient(pred, mask)
+        assert value == 0.25 * ce + 0.75 * dice
+        assert np.array_equal(got, 0.25 * ce_grad + 0.75 * dice_grad)
 
 
 class TestTopoConsistency:
@@ -293,7 +309,9 @@ def _frozen_trace(scenario):
                              ramp_k=0.0, noise_mode=NOISE_DIAGONAL)
         return run_simulation(likelihood_to_logits(noise_removal_grid()), config)
     teacher = three_basin_teacher()
-    config = TrainConfig(steps=50, learning_rate=0.5, strong_noise_sigma=0.5)
+    labeled = LabeledSupervision(teacher < 0.5, 0.3, 0.7) if "labeled" in scenario else None
+    config = TrainConfig(steps=50, learning_rate=0.5, strong_noise_sigma=0.5, labeled=labeled,
+                         topo_on_perturbed=scenario.endswith("topo-on-perturbed"))
     return run_simulation(perturbed_student_logits(teacher, sigma=0.5, seed=7), config,
                           likelihood_to_logits(teacher))
 
@@ -332,6 +350,13 @@ FROZEN_TRACE_DIGESTS = {
     "noise-removal": "149e682a3b643c3b58c50070ce3d1774b1bd5187b93aed2aa4b80d0f30c0afad",
     "three-basins": "c27c940e9984535b9962902f4945de4b379242b07162c72a22da99e73689f18d",
 }
+# The same for three-basins traces with the supervised term, recorded with the loss module
+# that computed each pixel loss and its gradient in separate functions.
+FROZEN_SUPERVISED_TRACE_DIGESTS = {
+    "three-basins/labeled": "39fba665894b0f44c41f50999b154fe12f1bb302b3278af3198f15a124cd8099",
+    "three-basins/labeled/topo-on-perturbed":
+        "a6db8af36ff8a5b866c086f106b1f5fe75cf0970a541823a4d11b16a5bcee4f3",
+}
 # SHA-256 of write_trace_csv's file for the same two traces, recorded with the writer
 # that formatted each row with format_real in Python.
 FROZEN_TRACE_CSV_DIGESTS = {
@@ -353,6 +378,10 @@ class TestFrozenBytes:
     @pytest.mark.parametrize("scenario", sorted(FROZEN_TRACE_DIGESTS))
     def test_trainer_trace_digest(self, scenario):
         assert _trace_digest(_frozen_trace(scenario)) == FROZEN_TRACE_DIGESTS[scenario]
+
+    @pytest.mark.parametrize("scenario", sorted(FROZEN_SUPERVISED_TRACE_DIGESTS))
+    def test_supervised_trace_digest(self, scenario):
+        assert _trace_digest(_frozen_trace(scenario)) == FROZEN_SUPERVISED_TRACE_DIGESTS[scenario]
 
     @pytest.mark.parametrize("scenario", sorted(FROZEN_TRACE_CSV_DIGESTS))
     def test_trainer_trace_csv_digest(self, scenario, tmp_path):
