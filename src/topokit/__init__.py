@@ -43,6 +43,7 @@ from .persistence import (
     PersistentDot,
     betti_curve,
     compute_diagram,
+    compute_diagrams,
     load_diagram_csv,
     save_diagram_csv,
 )
@@ -64,8 +65,8 @@ __all__ = [
     "LabeledSupervision", "MetricReport", "PersistenceDiagram", "PersistentDot",
     "StepRecord", "TopoLossReport", "TrainConfig", "TrainTrace",
     "as_likelihood", "as_mask", "betti_curve", "betti_error", "betti_matching_error",
-    "compute_diagram", "compute_metrics", "cross_entropy_loss_and_gradient", "decompose",
-    "dice_loss_and_gradient",
+    "compute_diagram", "compute_diagrams", "compute_metrics", "cross_entropy_loss_and_gradient",
+    "decompose", "dice_loss_and_gradient",
     "ema_update", "finite_difference_check", "label_components", "likelihood_to_logits",
     "load_diagram_csv", "load_grid", "load_mask_pgm", "match_diagrams", "ramp_up_weight",
     "run_simulation", "save_diagram_csv", "save_grid_csv", "save_grid_pgm", "save_mask_pgm",

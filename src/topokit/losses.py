@@ -30,7 +30,7 @@ import numpy as np
 from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose
 from .grid import SUBLEVEL, as_likelihood, as_mask
 from .matching import DIAGONAL, DiagramMatching, match_diagrams
-from .persistence import compute_diagram
+from .persistence import _diagrams
 
 CE_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -99,8 +99,7 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
     _check_same_shape(s, t)
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
-    dec_s = decompose(compute_diagram(s, direction, connectivity), phi)
-    dec_t = decompose(compute_diagram(t, direction, connectivity), phi)
+    dec_s, dec_t = (decompose(d, phi) for d in _diagrams([s, t], direction, connectivity))
     matching = match_diagrams(dec_s.signal, dec_t.signal, p=2.0)
     signal, noise, teacher_signal = dec_s.signal, dec_s.noise, dec_t.signal
 

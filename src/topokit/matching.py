@@ -116,6 +116,11 @@ def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     cost **= p  # in place: a second (n+m)^2 matrix would double the peak memory
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
+    if total < sys.float_info.min and not np.array_equal(lpts, rpts):  # equal diagrams: exact 0
+        del cost  # 0.0 or subnormal, as powers underflowed: recompute the assigned distances
+        assigned = _augmented(lpts, rpts, chebyshev=False)[rows, cols]
+        scale = float(assigned.max(initial=0.0))
+        total = float(((assigned / scale) ** p).sum()) if scale > 0.0 else 0.0
     return _pairs_from_assignment(rows, cols, n, m), scale * float(total ** (1.0 / p))
 
 

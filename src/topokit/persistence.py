@@ -43,9 +43,15 @@ A diagram is four read-only numpy columns, one row per dot: birth and death
 (float64), birth_px and death_px (int64), with death_px -1 for the essential
 dot. Its dots property is a derived view that builds PersistentDot objects.
 
-compute_diagram keeps the stable argsort (an ndarray) and the birth/death
-pixels of its two most recent calls; a call with the same shape,
-connectivity and argsort reuses those pixels and skips the kernel.
+compute_diagrams pairs grids of one shape in one kernel call, stacked with a
+never-inserted separator row between them that ranks and lies like the border.
+Ranks are grid-major and the elder rule compares ranks only within a component,
+so each grid gets the dots, order and essential dot of a call on it alone. The
+stable argsort (an ndarray) and birth/death pixels of the two most recent
+pairings are remembered, and a grid with the same shape, connectivity and
+argsort reuses those pixels. Grids are looked up in turn: one whose argsort
+equals an earlier miss of its batch (a teacher equal to its student) reuses
+that pending pairing, and the memory ends as after one call per grid.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
 splits its rows, and hands numpy's parser 1024 rows at a time with every cell
@@ -143,48 +149,76 @@ _CHUNK = 1 << 14  # elements per tolist() call, so no list spans a whole large g
 
 
 def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
-    """Union-find persistence of the grid's threshold filtration.
+    """Union-find persistence of the grid's threshold filtration: compute_diagrams((grid,))[0].
 
-    Finite dots are emitted in merge (death) order; the essential dot comes
-    last. Deterministic: all ties are broken by row-major pixel index.
-
-    The pairing depends only on the shape, the connectivity and the stable
-    argsort, so when those equal the ones of one of the two most recent
-    calls, that call's birth/death pixels are reused in its emission order and
-    only the values are read from this grid, which gives the dots the kernel
-    would give. No reference to the grid is kept.
+    Finite dots are emitted in merge (death) order; the essential dot comes last.
+    Deterministic: all ties are broken by row-major pixel index. The pairing depends
+    only on the shape, the connectivity and the stable argsort, so a remembered one is
+    reused and only the values are read from this grid, of which no reference is kept.
     """
-    values = as_likelihood(grid)
+    return compute_diagrams((grid,), direction, connectivity)[0]
+
+
+def compute_diagrams(grids, direction: str = SUBLEVEL,
+                     connectivity: int = 4) -> list[PersistenceDiagram]:
+    """compute_diagram of each grid, all of one shape, from at most one kernel call."""
+    return _diagrams([as_likelihood(grid) for grid in grids], direction, connectivity)
+
+
+def _diagrams(grids, direction: str, connectivity: int) -> list[PersistenceDiagram]:
+    """compute_diagrams of grids that already passed as_likelihood."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    h, w = values.shape
-    flat = values.ravel()
-    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable")
-    key = (h, w, connectivity)
-    recent = list(_recent)
-    for i, entry in enumerate(recent):
-        if entry[0] == key and np.array_equal(entry[1], order):
-            pixels = recent.pop(i)[2]
-            break
-    else:
-        pixels = _pair(order, h, w, connectivity)
-    _recent[:] = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
-    death = flat[pixels[1]]  # the essential dot's -1 reads the last pixel, overwritten next
-    death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
-    return PersistenceDiagram(flat[pixels[0]], death, *pixels)
+    h, w = grids[0].shape if grids else (0, 0)
+    for grid in grids:
+        if grid.shape != (h, w):
+            raise ValueError(f"shape mismatch: {(h, w)} vs {grid.shape}")
+    flats, key, recent = [grid.ravel() for grid in grids], (h, w, connectivity), list(_recent)
+    found, missed = [], []  # per grid its pixels or its index into missed: orders, then pixels
+    for flat in flats:
+        order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable")
+        for i, entry in enumerate(recent):
+            if entry[0] == key and np.array_equal(entry[1], order):
+                pixels = recent.pop(i)[2]
+                break
+        else:
+            pixels = len(missed)
+            missed.append(order)
+        found.append(pixels)
+        recent = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
+    if missed:  # one kernel call over the misses, a separator row below each but the last
+        stride = (h + 1) * w
+        stacked = missed[0] if len(missed) == 1 else np.concatenate(
+            [order + g * stride for g, order in enumerate(missed)])
+        birth_px, death_px = _pair(stacked, len(missed) * (h + 1) - 1, w, connectivity)
+        by_grid = np.argsort(birth_px // stride, kind="stable")  # each grid's essential dot last
+        offset = birth_px[by_grid] // stride * stride
+        cuts = np.searchsorted(offset, np.arange(1, len(missed)) * stride)
+        death_px = np.maximum(death_px[by_grid] - offset, -1)  # an essential -1 stays -1
+        missed = list(zip(np.split(birth_px[by_grid] - offset, cuts), np.split(death_px, cuts)))
+
+    _recent[:] = [(k, o, missed[p] if isinstance(p, int) else p) for k, o, p in recent]
+    diagrams = []
+    for flat, pixels in zip(flats, found):
+        pixels = missed[pixels] if isinstance(pixels, int) else pixels
+        death = flat[pixels[1]]  # the essential dot's -1 reads the last pixel, overwritten next
+        death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
+        diagrams.append(PersistenceDiagram(flat[pixels[0]], death, *pixels))
+    return diagrams
 
 
 def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Birth and death pixels of every dot in emission order, the essential dot last.
+    """Birth and death pixels of every dot in emission order, the essential dots last.
 
-    The essential dot's death pixel reads -1. Basins are numbered in the order
-    of their minima's ranks, so the elder of two components is the one whose
-    root has the smaller number.
+    order lists the inserted cells of an h x w grid; the others rank after them and lie
+    in no basin, like the border. Each component leaves an essential dot, death pixel
+    -1, in basin order. Basins are numbered in their minima's rank order, so the elder
+    of two components is the one whose root has the smaller number.
     """
     n = order.size
-    rank = np.empty(n, np.int32)
+    rank = np.full(h * w, n, np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     rank = rank.reshape(h, w)
     shifts = _SHIFTS[:connectivity]
@@ -208,7 +242,8 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
         ptr = nxt
     minima = np.flatnonzero(is_min)
     number = np.cumsum(is_min, dtype=np.int32) - 1
-    basin = number[ptr]  # rank -> basin number
+    basin = np.full(n + 1, -1, np.int32)  # rank -> basin number; rank n (not inserted) -> -1
+    np.take(number, ptr, out=basin[:n])
     del low, is_min, nxt, ptr, number
     fbasin = np.full((h + 2, w + 2), -1, np.int32)  # the border is in no basin
     own = fbasin[1:-1, 1:-1]
@@ -288,10 +323,10 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
                 dying.append(y)
                 death.append(rk)
 
-    dying.append(0)  # basin 0 holds the global minimum, which never dies
-    birth_px = order[minima[np.array(dying, dtype=np.int64)]]
-    death_px = np.append(order[np.array(death, dtype=np.int64)], -1)
-    return birth_px, death_px
+    killed = np.array(dying, dtype=np.int64)
+    roots = np.flatnonzero(np.bincount(killed, minlength=minima.size) == 0)  # one per component
+    death_px = np.append(order[np.array(death, dtype=np.int64)], np.full(roots.size, -1))
+    return order[minima[np.concatenate((killed, roots))]], death_px
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -68,6 +68,18 @@ class TestLargeOrder:
         assert match_diagrams(left, diagram_from_pairs([]), 200).cost == \
             pytest.approx(100.0 / math.sqrt(2), rel=1e-12)
 
+    def test_optimal_powers_far_below_the_largest_cost(self):
+        # Scaled by the dot-dot distance 0.608, both diagonal gaps still underflow at
+        # p=11000; the total is recomputed in units of the largest assigned distance.
+        left, right = diagram_from_pairs([(0.1, 0.9)]), diagram_from_pairs([(0.2, 0.3)])
+        assert match_diagrams(left, right, 11000).cost == pytest.approx(0.8 / math.sqrt(2), abs=1e-9)
+
+    def test_two_equal_diagonal_gaps_far_below_the_dot_distance(self):
+        # Two gaps of 1/sqrt(2) against a dot-dot distance of sqrt(2) at p=3000.
+        left, right = diagram_from_pairs([(0.0, 1.0)]), diagram_from_pairs([(1.0, 0.0)])
+        assert match_diagrams(left, right, 3000).cost == \
+            pytest.approx(2.0 ** (1.0 / 3000) / math.sqrt(2), rel=1e-12)
+
     def test_ordinary_order_is_not_rescaled(self):
         left, right = diagram_from_pairs([(0.1, 0.9)]), diagram_from_pairs([(0.2, 0.3)])
         assert match_diagrams(left, right, 1000).cost == 0.565685424949238

@@ -15,6 +15,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topokit import persistence
+from topokit.losses import NOISE_DIAGONAL
+from topokit.scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
+from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation
 from topokit.grid import (
     SUBLEVEL,
     SUPERLEVEL,
@@ -28,6 +31,7 @@ from topokit.persistence import (
     PersistentDot,
     betti_curve,
     compute_diagram,
+    compute_diagrams,
     format_diagram_csv,
     load_diagram_csv,
     save_diagram_csv,
@@ -367,6 +371,103 @@ class TestRecentPairings:
                                               (np.full((3, 2), 0.5), SUPERLEVEL, 4)]:
             got = compute_diagram(grid, direction, connectivity)
             assert got == fresh_diagram(grid, direction, connectivity)
+
+
+def _recent_state():
+    return [(key, order.tolist(), [px.tolist() for px in pixels])
+            for key, order, pixels in persistence._recent]
+
+
+class TestComputeDiagrams:
+    """Several grids in one kernel call, stacked with a separator row between them."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  st.tuples(st.just(1), st.integers(1, 30)),
+                  st.tuples(st.integers(1, 30), st.just(1))),
+        st.lists(st.sampled_from(["distinct", "ties4", "plateaus8"]), min_size=1, max_size=4),
+        st.sampled_from([SUBLEVEL, SUPERLEVEL]), st.sampled_from([4, 8]), st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_each_grid_alone(self, shape, kinds, direction, connectivity, seed):
+        rng = np.random.default_rng(seed)
+        grids = [_base_grid(rng, kind, *shape) for kind in kinds]
+        persistence._recent.clear()
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagrams(grids, direction, connectivity)
+        assert kernel.call_count == 1
+        assert len(got) == len(grids)
+        for diagram, grid in zip(got, grids):
+            assert diagram == fresh_diagram(grid, direction, connectivity)
+            assert diagram.dots == loop_diagram(grid, direction, connectivity).dots
+
+    def test_hits_and_misses_in_one_batch(self):
+        rng = np.random.default_rng(11)
+        a, b, c = (random_distinct_grid(rng, 6, 7) for _ in range(3))
+        persistence._recent.clear()
+        compute_diagram(a)
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagrams([b, 0.5 * a, c])  # 0.5 * a keeps a's pixel order
+        assert kernel.call_count == 1
+        assert len(kernel.call_args.args[0]) == 2 * a.size  # b and c only
+        for diagram, grid in zip(got, [b, 0.5 * a, c]):
+            assert diagram == fresh_diagram(grid, SUBLEVEL, 4)
+
+    def test_equal_orders_in_one_batch_share_one_pairing(self):
+        # Teacher equal to student, as in noise removal: the second grid reuses the
+        # pairing still pending for the first.
+        grid = random_distinct_grid(np.random.default_rng(12), 8, 5)
+        persistence._recent.clear()
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            first, second = compute_diagrams([grid, 0.9 * grid])
+        assert kernel.call_count == 1
+        assert len(kernel.call_args.args[0]) == grid.size
+        assert first == fresh_diagram(grid, SUBLEVEL, 4)
+        assert second == fresh_diagram(0.9 * grid, SUBLEVEL, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=4),
+           st.sampled_from([4, 8]))
+    def test_remembered_pairings_as_after_single_calls(self, batches, connectivity):
+        # Grids drawn from a pool of four, so batches meet remembered and pending pairings.
+        rng = np.random.default_rng(13)
+        pool = [_base_grid(rng, "ties4", 4, 3) for _ in range(4)]
+        persistence._recent.clear()
+        for batch in batches:
+            compute_diagrams([pool[i] for i in batch], SUBLEVEL, connectivity)
+        batched = _recent_state()
+        persistence._recent.clear()
+        for batch in batches:
+            for i in batch:
+                compute_diagram(pool[i], SUBLEVEL, connectivity)
+        assert batched == _recent_state()
+
+    @pytest.mark.parametrize("name, calls", [("noise-removal", 31), ("three-basins", 1000)])
+    def test_one_kernel_call_per_step_at_most(self, name, calls):
+        # The bench scenarios at seed 1: noise removal reuses almost every pairing, while
+        # the three-basins student and teacher change order at nearly every step.
+        if name == "three-basins":
+            teacher = three_basin_teacher()
+            student = perturbed_student_logits(teacher, 0.5, 1)
+            config = TrainConfig(steps=1000, learning_rate=0.5, ema_decay=0.999, phi=0.7,
+                                 lambda_u2=0.002, ramp_k=0.1, strong_noise_sigma=0.5, seed=1)
+            teacher = likelihood_to_logits(teacher)
+        else:
+            student, teacher = likelihood_to_logits(noise_removal_grid()), None
+            config = TrainConfig(steps=500, learning_rate=0.1, ema_decay=0.0, phi=0.7,
+                                 lambda_u2=1.0, ramp_k=0.0, strong_noise_sigma=0.0,
+                                 noise_mode=NOISE_DIAGONAL, seed=0)
+        persistence._recent.clear()
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            run_simulation(student, config, teacher_init_logits=teacher)
+        assert kernel.call_count == calls
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
+            compute_diagrams([np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))])
+
+    def test_no_grids(self):
+        assert compute_diagrams([]) == []
 
 
 def _spread(n, modulus=257):
