@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .persistence import PersistenceDiagram
@@ -39,6 +40,11 @@ def total_persistence(diagram: PersistenceDiagram, p: float = 1.0) -> float:
     p = float(p)
     if not p >= 1.0:  # also rejects NaN
         raise ValueError(f"order p must be >= 1, got {p}")
+    persistence = diagram.persistence
+    top = float(persistence.max(initial=0.0))
     if math.isinf(p):
-        return float(diagram.persistence.max(initial=0.0))
-    return float((diagram.persistence ** p).sum() ** (1.0 / p))
+        return top
+    total = (persistence ** p).sum()
+    if total < sys.float_info.min and top > 0.0:  # the powers underflowed: units of the largest
+        return top * float(((persistence / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))

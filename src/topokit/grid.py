@@ -96,17 +96,9 @@ def label_components(mask, connectivity: int = 4) -> ComponentLabeling:
     mask = as_mask(mask)
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    raw, count = ndimage.label(mask, structure=_STRUCTURE[connectivity])
-    if count == 0:
-        return ComponentLabeling(raw.astype(np.int32), 0)
-    # Renumber so label k is the k-th component met in a raster scan.
-    flat = raw.ravel()
-    ids, first = np.unique(flat, return_index=True)
-    keep = ids > 0
-    ids, first = ids[keep], first[keep]
-    lut = np.zeros(int(ids.max()) + 1, dtype=np.int32)
-    lut[ids[np.argsort(first, kind="stable")]] = np.arange(1, ids.size + 1, dtype=np.int32)
-    return ComponentLabeling(lut[raw], int(count))
+    # scipy numbers the components 1, 2, ... in the order a raster scan meets them.
+    labels, count = ndimage.label(mask, structure=_STRUCTURE[connectivity], output=np.int32)
+    return ComponentLabeling(labels, count)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ Neighbours are read through a frame: the grid plus a one-cell border that
 ranks after every pixel and lies in no basin, so no bounds are checked. Dot
 values are read from the grid at the birth and death pixels only.
 
-The superlevel direction runs the same algorithm on 1 - v and reports
-births and deaths in original value coordinates, so a superlevel dot has
-birth >= death and the essential death is 0.0. Critical pixels always
-carry the exact source grid value.
+The superlevel direction runs the same algorithm on -v, which keeps distinct
+values distinct (1 - v would not), and reports births and deaths in original
+value coordinates, so a superlevel dot has birth >= death and the essential
+death is 0.0. Critical pixels always carry the exact source grid value.
 
 A diagram is four read-only numpy columns, one row per dot: birth and death
 (float64), birth_px and death_px (int64), with death_px -1 for the essential
@@ -54,17 +54,16 @@ equals an earlier miss of its batch (a teacher equal to its student) reuses
 that pending pairing, and the memory ends as after one call per grid.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
-splits its rows, and hands numpy's parser 1024 rows at a time with every cell
-quoted back; the number grammar is the grid loaders' (grid.parse_text). A
-chunk that fails is re-read one row at a time to name the first bad row.
+splits its rows, and reads each row with float() and int() into array.array
+columns, so memory grows with the dots, not the text. A row with "_", text that
+is not grid.plain_ascii or an integer past int64 is unparseable.
 """
 
 from __future__ import annotations
 
+import array
 import collections
-import contextlib
 import csv
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +76,6 @@ from .grid import (
     SUPERLEVEL,
     GridFormatError,
     as_likelihood,
-    parse_text,
     plain_ascii,
 )
 
@@ -178,7 +176,7 @@ def _diagrams(grids, direction: str, connectivity: int) -> list[PersistenceDiagr
     flats, key, recent = [grid.ravel() for grid in grids], (h, w, connectivity), list(_recent)
     found, missed = [], []  # per grid its pixels or its index into missed: orders, then pixels
     for flat in flats:
-        order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable")
+        order = np.argsort(-flat if direction == SUPERLEVEL else flat, kind="stable")
         for i, entry in enumerate(recent):
             if entry[0] == key and np.array_equal(entry[1], order):
                 pixels = recent.pop(i)[2]
@@ -367,75 +365,48 @@ def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
     Path(path).write_text(format_diagram_csv(diagram))
 
 
-_ROW = np.dtype([("birth", np.float64), ("death", np.float64), ("birth_px", np.int64),
-                 ("death_px", object), ("essential", np.int64)])  # death_px may be empty
-_ROW_ERRORS = ("birth/death outside [0, 1]", "negative pixel index",
-               "essential must be 0 or 1, got {!r}", "essential flag and death_px disagree")
-_CHUNK_ROWS = 1024  # rows numpy reads at once
+_INT64 = range(-2**63, 2**63)
 
 
-def _parse_rows(lines) -> tuple[np.ndarray, ...]:
-    """Diagram rows read by numpy's CSV tokenizer, quoted fields taken as csv.reader takes them.
+def _diagram_row(row: list[str], line: int) -> tuple[float, float, int, int]:
+    """birth, death, birth_px and death_px (-1 when empty) of one csv row on the given line.
 
-    Returns birth, death, birth_px, death_px (-1 where empty) and the (rows, 4)
-    matrix of failed checks in _ROW_ERRORS order. ValueError when a row does not
-    parse. The caller rejects text that is not grid.plain_ascii.
+    A row with "_" or text that is not grid.plain_ascii, or with an integer past int64,
+    is unparseable. The GridFormatError (without the path) names the first failing
+    check: the column count, the parse, the value range, the pixel signs, the flag, the
+    flag against death_px.
     """
-    table = parse_text(lines, dtype=_ROW, delimiter=",", quotechar='"', ndmin=1)
-    death_px = np.full(len(table), -1, dtype=np.int64)
-    given = table["death_px"] != ""
-    cells = table["death_px"][given]
-    # int() reads these cells with numpy's grammar but for "1_0" and int64 overflow.
-    if "_" in "".join(cells):
-        raise ValueError("digit separator")
+    if len(row) != 5:
+        raise GridFormatError(f"line {line}: expected 5 columns, got {len(row)}")
+    given = row[3] != ""
     try:
-        death_px[given] = cells.astype(np.int64)
-    except OverflowError:
-        raise ValueError("integer past int64") from None
-    # Copies: a field of the table is a strided view that would keep the death_px strings.
-    birth, death, birth_px = (table[k].copy() for k in ("birth", "death", "birth_px"))
-    essential = table["essential"]
-    failed = np.column_stack((
-        ~((0.0 <= birth) & (birth <= 1.0) & (0.0 <= death) & (death <= 1.0)),  # NaN fails too
-        (birth_px < 0) | (death_px < 0) & given,
-        (essential != 0) & (essential != 1),
-        (essential == 1) == given,
-    ))
-    return birth, death, birth_px, death_px, failed
-
-
-def _read_rows(rows: list[list[str]], line: int) -> list[list[np.ndarray]]:
-    """The columns of csv rows, the first of them on the given line, as a list of chunks.
-
-    Cells are quoted back, so a line break in one stays in it; a cell that holds a quote
-    or is not plain_ascii is unparseable. Rows that fail together are re-read one at a
-    time, and the first bad one raises a GridFormatError (without the path) naming its
-    first failing check: the column count, the parse, then _ROW_ERRORS in order.
-    """
-    failed = None
-    text = "".join(map("".join, rows))
-    if all(len(row) == 5 for row in rows) and plain_ascii(text) and '"' not in text:
-        with contextlib.suppress(ValueError):
-            *columns, failed = _parse_rows('"' + '","'.join(row) + '"' for row in rows)
-            if not failed.any():
-                return [columns]
-    if len(rows) > 1:
-        return [chunk for i, row in enumerate(rows) for chunk in _read_rows([row], line + i)]
-    if len(rows[0]) != 5:
-        message = f"expected 5 columns, got {len(rows[0])}"
-    elif failed is None:
-        message = "unparseable diagram row"
-    else:
-        message = _ROW_ERRORS[int(np.argmax(failed[0]))].format(rows[0][4])
-    raise GridFormatError(f"line {line}: {message}")
+        text = "".join(row)
+        if "_" in text or not plain_ascii(text):
+            raise ValueError
+        birth, death, birth_px, essential = float(row[0]), float(row[1]), int(row[2]), int(row[4])
+        death_px = int(row[3]) if given else -1
+        if birth_px not in _INT64 or death_px not in _INT64 or essential not in _INT64:
+            raise ValueError
+    except ValueError:
+        raise GridFormatError(f"line {line}: unparseable diagram row") from None
+    if not (0.0 <= birth <= 1.0 and 0.0 <= death <= 1.0):  # NaN fails too
+        raise GridFormatError(f"line {line}: birth/death outside [0, 1]")
+    if birth_px < 0 or death_px < 0 and given:
+        raise GridFormatError(f"line {line}: negative pixel index")
+    if essential not in (0, 1):
+        raise GridFormatError(f"line {line}: essential must be 0 or 1, got {row[4]!r}")
+    if essential == given:
+        raise GridFormatError(f"line {line}: essential flag and death_px disagree")
+    return birth, death, birth_px, death_px
 
 
 def load_diagram_csv(path) -> PersistenceDiagram:
     """Read a diagram CSV; values must lie in [0, 1] and pixel indices be nonnegative.
 
     Rows are split as csv.reader splits them (quoted fields, an empty death_px for the
-    essential dot). The error is, in this order: a non-UTF-8 byte anywhere, csv.reader's
-    first error (a field over its size limit), a bad header, the first bad row.
+    essential dot) and read one at a time with float() and int() into array.array
+    columns. The error is, in this order: a non-UTF-8 byte anywhere, csv.reader's first
+    error (a field over its size limit), a bad header, the first bad row.
     """
     path = Path(path)
     try:
@@ -446,12 +417,11 @@ def load_diagram_csv(path) -> PersistenceDiagram:
                     if next(rows, None) != DIAGRAM_CSV_HEADER:
                         raise GridFormatError(
                             f"missing diagram header {','.join(DIAGRAM_CSV_HEADER)!r}")
-                    chunks = []
-                    for line in itertools.count(2, _CHUNK_ROWS):
-                        chunk = list(itertools.islice(rows, _CHUNK_ROWS))
-                        chunks += _read_rows(chunk, line)  # an empty chunk gives empty columns
-                        if len(chunk) < _CHUNK_ROWS:
-                            return PersistenceDiagram(*map(np.concatenate, zip(*chunks)))
+                    columns = tuple(map(array.array, "ddqq"))
+                    for line, row in enumerate(rows, 2):
+                        for column, value in zip(columns, _diagram_row(row, line)):
+                            column.append(value)
+                    return PersistenceDiagram(*(np.frombuffer(c, c.typecode) for c in columns))
                 except GridFormatError as exc:
                     problem = exc
                     collections.deque(rows, maxlen=0)  # a later csv.Error or non-UTF-8 byte wins

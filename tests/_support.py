@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -84,7 +85,7 @@ def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> Pers
     values = as_likelihood(grid)
     h, w = values.shape
     flat = values.ravel()
-    order = np.argsort(1.0 - flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
+    order = np.argsort(-flat if direction == SUPERLEVEL else flat, kind="stable").tolist()
     flat_l = flat.tolist()
     fw = w + 2
     offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
@@ -218,6 +219,30 @@ def brute_assignment_cost(cost_matrix) -> float:
     for perm in itertools.permutations(range(size)):
         best = min(best, float(sum(c[i, j] for i, j in enumerate(perm))))
     return best
+
+
+def bfs_labels(mask, connectivity: int) -> tuple[np.ndarray, int]:
+    """Components numbered 1, 2, ... in the order a raster scan meets them, by breadth-first search."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+             if (dr, dc) != (0, 0) and (connectivity == 8 or 0 in (dr, dc))]
+    labels = np.zeros((h, w), np.int32)
+    count = 0
+    for start in itertools.product(range(h), range(w)):
+        if not mask[start] or labels[start]:
+            continue
+        count += 1
+        labels[start] = count
+        queue = collections.deque([start])
+        while queue:
+            r, c = queue.popleft()
+            for dr, dc in steps:
+                q = (r + dr, c + dc)
+                if 0 <= q[0] < h and 0 <= q[1] < w and mask[q] and not labels[q]:
+                    labels[q] = count
+                    queue.append(q)
+    return labels, count
 
 
 # ---------------------------------------------------------------------------

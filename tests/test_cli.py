@@ -272,7 +272,8 @@ class TestWasserstein:
         diagram.write_text("birth,death,birth_px,death_px,essential\n" + rows)
         code, out, err = run_cli(capsys, "wasserstein", str(diagram), str(diagram), "--p", p)
         assert_data_error(code, out, err)
-        assert "6000 against 6000 dots" in err
+        assert err == ("error: matching 6000 against 6000 dots needs a 1152000000-byte distance "
+                       "matrix, over the 1073741824-byte limit\n")
 
     def test_oversized_field_returns_two(self, capsys, tmp_path):
         diagram = tmp_path / "d.csv"

@@ -108,6 +108,11 @@ class TestTotalPersistence:
         expected = math.sqrt(0.7**2 + 0.05**2)
         assert total_persistence(diagram, 2) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1100, 3000, 1e6])
+    def test_large_order_does_not_underflow(self, p):
+        diagram = diagram_from_pairs([(0.25, 0.75), (0.25, 0.75)])  # 0.5 ** p underflows to 0
+        assert total_persistence(diagram, p) == pytest.approx(0.5 * 2 ** (1 / p), rel=1e-12)
+
     def test_nan_order_rejected(self):
         with pytest.raises(ValueError, match="order p"):
             total_persistence(make_diagram(), math.nan)

@@ -29,7 +29,7 @@ from topokit.grid import (
     threshold,
 )
 
-from _support import random_distinct_grid, reference_csv_grid, reference_pgm_samples
+from _support import bfs_labels, random_distinct_grid, reference_csv_grid, reference_pgm_samples
 
 
 class TestValidation:
@@ -132,6 +132,28 @@ class TestLabelComponents:
             assert label_components(mask.T.copy(), 4).count == n
             assert label_components(mask[::-1].copy(), 4).count == n
             assert label_components(mask[:, ::-1].copy(), 4).count == n
+
+    # Label numbers come from scipy's ndimage.label as they are; this pins its raster order.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([4, 8]), st.data())
+    def test_labels_equal_a_breadth_first_search(self, h, w, connectivity, data):
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+        self.assert_bfs_labels(mask.reshape(h, w), connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1), (7, 9)])
+    @pytest.mark.parametrize("fill", ["empty", "full", "random"])
+    def test_labels_of_lines_empty_and_full_masks(self, connectivity, shape, fill):
+        mask = {"empty": np.zeros(shape, bool), "full": np.ones(shape, bool),
+                "random": np.random.default_rng(7).random(shape) < 0.5}[fill]
+        self.assert_bfs_labels(mask, connectivity)
+
+    @staticmethod
+    def assert_bfs_labels(mask, connectivity):
+        labeling = label_components(mask, connectivity)
+        labels, count = bfs_labels(mask, connectivity)
+        assert labeling.count == count
+        assert labeling.labels.dtype == np.int32 and np.array_equal(labeling.labels, labels)
 
     def test_labels_constant_within_component(self):
         mask = np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool)

@@ -48,7 +48,7 @@ from _support import (
 
 
 HEADER = "birth,death,birth_px,death_px,essential\n"
-CHUNK = persistence._CHUNK_ROWS
+CHUNK = 1024
 
 
 def dot_tuples(diagram):
@@ -556,6 +556,10 @@ class TestFrozenBytes:
         assert [d.birth_pixel for d in dots if d.death_pixel == 12] == [22, 10, 14]
 
 
+ULP_CLOSE = sorted({float(x) for v in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0)
+                    for x in (np.nextafter(v, 0), v, np.nextafter(v, 1))})
+
+
 class TestSuperlevel:
     def test_matches_sublevel_of_reflected_grid(self):
         rng = np.random.default_rng(41)
@@ -568,6 +572,26 @@ class TestSuperlevel:
                 (round(1.0 - d.birth, 12), round(1.0 - d.death, 12)) for d in ref.dots
             )
             assert got == want
+
+    def test_values_ulps_apart_below_one_half_stay_distinct(self):
+        # 1 - v would round both 0.1 and the next float up to one value, and the tie would
+        # make pixel 0 the elder.
+        sup = compute_diagram([[0.1, 0.05, np.nextafter(0.1, 1)]], SUPERLEVEL)
+        assert sup.birth_px.tolist() == [0, 2]
+        assert sup.death_px.tolist() == [1, -1]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([4, 8]), st.data())
+    def test_pixels_equal_sublevel_pixels_of_the_rank_reversed_grid(self, h, w, connectivity,
+                                                                   data):
+        cell = st.one_of(st.sampled_from(ULP_CLOSE), st.floats(0, 1))
+        grid = np.array(data.draw(st.lists(cell, min_size=h * w, max_size=h * w))).reshape(h, w)
+        # The same ties, in reverse value order: 0 for the largest value.
+        reversed_ranks = np.unique(-grid.ravel(), return_inverse=True)[1].reshape(h, w)
+        sup = compute_diagram(grid, SUPERLEVEL, connectivity)
+        sub = compute_diagram(reversed_ranks / grid.size, SUBLEVEL, connectivity)
+        assert np.array_equal(sup.birth_px, sub.birth_px)
+        assert np.array_equal(sup.death_px, sub.death_px)
 
     def test_essential_death_is_zero(self):
         sup = compute_diagram([[0.2, 0.8], [0.6, 0.4]], SUPERLEVEL)
