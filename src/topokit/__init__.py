@@ -7,7 +7,10 @@ teacher-student simulator.
 
 scipy is imported inside the functions that call it, never at module
 level, so importing the package (or running ``topokit pd``) loads numpy
-only.
+only. The matching solvers come straight from scipy's compiled modules
+(``scipy.optimize._lsap``, ``scipy.sparse.csgraph._matching``), so no
+subcommand imports the ``scipy.optimize`` or ``scipy.sparse.csgraph``
+packages.
 """
 
 from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, total_persistence

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComponentLabeling, as_mask, label_components
+from .matching import _scipy_extension
 
 DEFAULT_WINDOW = 256
 
@@ -69,8 +70,9 @@ def betti_matching_error(pred, gt) -> int:
 
 def _matching_error(lp: ComponentLabeling, lg: ComponentLabeling) -> int:
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
 
+    maximum_bipartite_matching = _scipy_extension(
+        "scipy.sparse.csgraph", "_matching").maximum_bipartite_matching
     inter = (lp.labels > 0) & (lg.labels > 0)
     if not inter.any():
         return lp.count + lg.count

@@ -1,11 +1,28 @@
 """The package's public namespace and what importing it costs."""
 
+import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import topokit
+from topokit import (compute_diagram, load_diagram_csv, match_diagrams, save_diagram_csv,
+                     save_grid_csv, save_mask_pgm)
+
+SRC = Path(topokit.__file__).resolve().parent.parent
+
+
+def _run_fresh(tmp_path, body: str) -> str:
+    """The last stdout line of body run in a fresh interpreter that imports topokit from SRC."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" + textwrap.dedent(body)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
 
 
 def test_all_names_resolve_once():
@@ -18,10 +35,7 @@ def test_pd_and_decompose_never_load_scipy(tmp_path):
     """scipy is imported only inside the functions that call it."""
     grid = tmp_path / "grid.csv"
     grid.write_text("0.42,0.46\n0.30,0.90\n")
-    src = Path(topokit.__file__).resolve().parent.parent
-    script = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
+    line = _run_fresh(tmp_path, f"""
         import topokit
         import topokit.cli
         codes = [
@@ -33,7 +47,90 @@ def test_pd_and_decompose_never_load_scipy(tmp_path):
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         print("codes", codes, "scipy", loaded)
     """)
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         cwd=tmp_path)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "codes [0, 0] scipy []"
+    assert line == "codes [0, 0] scipy []"
+
+
+def _diagram_files(tmp_path):
+    rng = np.random.default_rng(15)
+    paths = []
+    for side in ("left", "right"):
+        path = tmp_path / f"{side}.csv"
+        save_diagram_csv(compute_diagram(rng.uniform(size=(7, 7))), path)
+        paths.append(str(path))
+    return paths
+
+
+def _subcommand_argv(tmp_path, command):
+    if command in ("wasserstein-2", "wasserstein-inf"):
+        return ["wasserstein", *_diagram_files(tmp_path), "--p", command.split("-")[1]]
+    if command == "loss":
+        rng = np.random.default_rng(16)
+        save_grid_csv(rng.uniform(size=(6, 6)), tmp_path / "s.csv")
+        save_grid_csv(rng.uniform(size=(6, 6)), tmp_path / "t.csv")
+        return ["loss", "--student", str(tmp_path / "s.csv"), "--teacher", str(tmp_path / "t.csv")]
+    rng = np.random.default_rng(17)
+    save_mask_pgm(rng.uniform(size=(12, 12)) < 0.45, tmp_path / "pred.pgm")
+    save_mask_pgm(rng.uniform(size=(12, 12)) < 0.45, tmp_path / "gt.pgm")
+    return ["metrics", "--pred", str(tmp_path / "pred.pgm"), "--gt", str(tmp_path / "gt.pgm")]
+
+
+_LSAP = (("scipy.optimize", "scipy.linalg", "scipy.fft"), "scipy.optimize._lsap")
+_MATCHING = (("scipy.sparse.csgraph",), "scipy.sparse.csgraph._matching")
+KERNEL_OF = {"wasserstein-2": _LSAP, "loss": _LSAP, "wasserstein-inf": _MATCHING,
+             "metrics": _MATCHING}
+
+
+@pytest.mark.parametrize("command", KERNEL_OF)
+def test_matching_kernels_load_without_their_packages(tmp_path, command):
+    """Each subcommand loads its scipy kernel module, never the package that exports it."""
+    packages, kernel = KERNEL_OF[command]
+    argv = _subcommand_argv(tmp_path, command)
+    line = _run_fresh(tmp_path, f"""
+        import json
+        import topokit.cli
+        code = topokit.cli.main({argv!r})
+        loaded = sorted(m for m in sys.modules if m.startswith({packages!r}))
+        print(json.dumps([code, loaded]))
+    """)
+    assert json.loads(line) == [0, [kernel]]
+
+
+@pytest.mark.parametrize("public_first", [False, True])
+def test_kernel_functions_are_the_public_ones(tmp_path, public_first):
+    public = "import scipy.optimize, scipy.sparse.csgraph"
+    line = _run_fresh(tmp_path, f"""
+        {public if public_first else ""}
+        from topokit.matching import _scipy_extension
+        lsap = _scipy_extension("scipy.optimize", "_lsap")
+        matching = _scipy_extension("scipy.sparse.csgraph", "_matching")
+        {"" if public_first else public}
+        csgraph = scipy.sparse.csgraph
+        print(lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment,
+              matching.maximum_bipartite_matching is csgraph.maximum_bipartite_matching)
+    """)
+    assert line == "True True"
+
+
+def test_kernel_falls_back_to_the_public_module(tmp_path):
+    """With no extension module found by file, the public import serves the same matching."""
+    left, right = _diagram_files(tmp_path)
+    line = _run_fresh(tmp_path, f"""
+        import importlib.machinery
+        import json
+        from topokit import load_diagram_csv, match_diagrams
+
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_extension(name, path=None, target=None):  # the import system asks by dotted name
+            return None if name in ("_lsap", "_matching") else find_spec(name, path, target)
+        importlib.machinery.PathFinder.find_spec = no_extension
+        left, right = load_diagram_csv({left!r}), load_diagram_csv({right!r})
+        results = [match_diagrams(left, right, p) for p in (2.0, float("inf"))]
+        print(json.dumps([[r.pairs.tolist(), r.cost] for r in results]
+                         + [sorted(m for m in ("scipy.optimize", "scipy.sparse.csgraph")
+                                   if m in sys.modules)]))
+    """)
+    left, right = load_diagram_csv(left), load_diagram_csv(right)
+    expected = [[r.pairs.tolist(), r.cost] for r in (match_diagrams(left, right, p)
+                                                     for p in (2.0, float("inf")))]
+    assert json.loads(line) == expected + [["scipy.optimize", "scipy.sparse.csgraph"]]

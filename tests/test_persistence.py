@@ -734,12 +734,12 @@ class TestDiagramCsv:
         with pytest.raises(GridFormatError, match="field larger than field limit"):
             load_diagram_csv(path)
 
-    # The last row of a chunk, the first of the next one, and a row inside a later chunk.
+    # Rows on both sides of CHUNK and 2 * CHUNK, and one far into the file.
     @pytest.mark.parametrize("bad", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2500])
     def test_first_bad_row_of_a_long_file(self, tmp_path, bad):
         rows = [f"0.1,0.9,{i},{i + 1},0" for i in range(3000)]
         rows[bad] = f"0.1,0.9,{bad},-1,0"
-        rows[bad + 1] = "0.1,1.5,0,1,0"  # a later bad row in the same chunk or the next
+        rows[bad + 1] = "0.1,1.5,0,1,0"  # the next row is bad too: the first is named
         path = tmp_path / "dgm.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n")
         with pytest.raises(GridFormatError, match=f"line {bad + 2}: negative pixel index"):
@@ -750,7 +750,7 @@ class TestDiagramCsv:
     def test_files_of_several_chunks_read_like_the_old_parser(self, tmp_path, n, multiline):
         rows = [f"{(i % 97) / 97:.9g},1,{i},,1" if i % 5 == 0 else
                 f"{(i % 89) / 97:.9g},{(i % 89 + 8) / 97:.9g},{i},{3 * i + 1},0" for i in range(n)]
-        if multiline:  # quoted fields with line breaks in the last row of a chunk and the next
+        if multiline:  # quoted fields with line breaks in two adjacent rows
             rows[CHUNK - 1] = f'"0.25\n\n",0.75,{CHUNK - 1},"7\r\n",0'
             rows[CHUNK] = f'"0.5\r\n",1,{CHUNK},"",1'
         path = tmp_path / "dgm.csv"
@@ -778,7 +778,7 @@ class TestDiagramCsv:
 
     def test_peak_memory_of_a_long_file(self, tmp_path):
         # Decoding the whole 2 MB file, then one np.loadtxt over a structured dtype with an
-        # object column, peaked at 27.5 MiB here; streaming 1024 rows at a time at 3.9.
+        # object column, peaked at 27.5 MiB here; reading a row at a time peaks at 2.0.
         rng = np.random.default_rng(5)
         n = 60_000
         birth = rng.random(n)
@@ -844,8 +844,10 @@ def _diagram_outcome(read, content: bytes):
 
 
 class TestDiagramCsvAgainstTheOldParser:
-    """numpy's parser gives the columns and the messages csv.reader, float() and int() gave.
+    """load_diagram_csv gives the columns and the messages of the old whole-file parser.
 
+    Both split rows with csv.reader and read them with float() and int(); the old one
+    (reference_diagram_csv) listed every row first, the loader reads one row at a time.
     The intended difference: an integer past int64 makes its row unparseable. The old
     parser read it, so it failed later: at a check of that row or of a later one, or
     with an OverflowError once every row had passed.
