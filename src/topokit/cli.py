@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 
 from .diagram import DEFAULT_PHI, decompose
 from .grid import (
@@ -170,6 +171,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.labeled_mask:
+        args.labeled = LabeledSupervision(load_mask_pgm(args.labeled_mask), args.w1, args.w2)
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    config.validate()  # before the seed reaches a scenario
     if args.init:
         student_logits = likelihood_to_logits(load_grid(args.init))
     elif args.scenario == "three-basins":
@@ -182,23 +187,6 @@ def _cmd_demo(args) -> int:
         teacher_logits = likelihood_to_logits(load_grid(args.teacher_init))
     elif args.scenario == "three-basins" and not args.init:
         teacher_logits = likelihood_to_logits(three_basin_teacher())
-
-    labeled = None
-    if args.labeled_mask:
-        labeled = LabeledSupervision(load_mask_pgm(args.labeled_mask), args.w1, args.w2)
-    config = TrainConfig(
-        steps=args.steps,
-        learning_rate=args.eta,
-        ema_decay=args.alpha,
-        phi=args.phi,
-        lambda_u2=args.lambda_u2,
-        ramp_k=args.ramp_k,
-        strong_noise_sigma=args.sigma,
-        noise_mode=args.noise_mode,
-        seed=args.seed,
-        topo_on_perturbed=args.topo_on_perturbed,
-        labeled=labeled,
-    )
     trace = run_simulation(student_logits, config, teacher_logits)
     write_trace_csv(trace, args.trace_out)
     save_grid_pgm(trace.final_student, args.student_out)
@@ -293,32 +281,32 @@ def build_parser() -> _Parser:
     demo.add_argument("--init", default=None, help="student init likelihood grid (PGM/CSV)")
     demo.add_argument("--teacher-init", default=None,
                       help="teacher init likelihood grid (default: copy of the student)")
-    demo.add_argument("--steps", type=_INT, default=100, help="default: %(default)s")
-    demo.add_argument("--eta", type=_FLOAT, default=0.1,
+    demo.add_argument("--steps", type=_INT, help="default: %(default)s")
+    demo.add_argument("--eta", type=_FLOAT, dest="learning_rate", metavar="ETA",
                       help="learning rate (default: %(default)s)")
-    demo.add_argument("--alpha", type=_FLOAT, default=0.999,
+    demo.add_argument("--alpha", type=_FLOAT, dest="ema_decay", metavar="ALPHA",
                       help="teacher EMA decay (default: %(default)s)")
-    demo.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
-                      help="persistence threshold (default: %(default)s)")
-    demo.add_argument("--lambda-u2", type=_FLOAT, default=0.002,
+    demo.add_argument("--phi", type=_FLOAT, help="persistence threshold (default: %(default)s)")
+    demo.add_argument("--lambda-u2", type=_FLOAT,
                       help="topological loss weight (default: %(default)s)")
-    demo.add_argument("--ramp-k", type=_FLOAT, default=0.1,
+    demo.add_argument("--ramp-k", type=_FLOAT,
                       help="pixel consistency ramp-up ceiling (default: %(default)s)")
-    demo.add_argument("--sigma", type=_FLOAT, default=0.0,
+    demo.add_argument("--sigma", type=_FLOAT, dest="strong_noise_sigma", metavar="SIGMA",
                       help="strong-view logit noise std (default: %(default)s)")
-    demo.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED)
-    demo.add_argument("--seed", type=_INT, default=0, help="default: %(default)s")
+    demo.add_argument("--noise-mode", choices=NOISE_MODES)
+    demo.add_argument("--seed", type=_INT, help="default: %(default)s")
     demo.add_argument("--topo-on-perturbed", action="store_true",
                       help="feed the strong view (not the clean one) to the topological loss")
     demo.add_argument("--labeled-mask", default=None, help="optional supervision mask (PGM)")
-    demo.add_argument("--w1", type=_FLOAT, default=0.5,
+    demo.add_argument("--w1", type=_FLOAT,
                       help="supervised cross-entropy weight (default: %(default)s)")
-    demo.add_argument("--w2", type=_FLOAT, default=0.5,
-                      help="supervised Dice weight (default: %(default)s)")
+    demo.add_argument("--w2", type=_FLOAT, help="supervised Dice weight (default: %(default)s)")
     demo.add_argument("--trace-out", default="demo_trace.csv", help="default: %(default)s")
     demo.add_argument("--student-out", default="demo_student.pgm", help="default: %(default)s")
     demo.add_argument("--teacher-out", default="demo_teacher.pgm", help="default: %(default)s")
-    demo.set_defaults(func=_cmd_demo)
+    trainer = fields(TrainConfig) + fields(LabeledSupervision)  # --steps has a default of its own
+    demo.set_defaults(func=_cmd_demo, steps=100,
+                      **{f.name: f.default for f in trainer if f.default is not MISSING})
 
     return parser
 
@@ -336,6 +324,9 @@ def main(argv=None) -> int:
         return 1
     except (GridFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -5,12 +5,12 @@ where low values mark foreground (dark structures). A mask is a 2D bool
 array with the same layout. Pixel identifiers used throughout the package
 are row-major linear indices into the grid.
 
-Numbers in P2 rasters and CSV grids are read by numpy's text parser, one
-np.loadtxt pass per file (parse_text); README "Numerical conventions" lists
-its grammar. Where numpy reads a form the loaders never took (a "+" in a
-P2 raster, non-ASCII or \\x1c-\\x1f spaces, an empty CSV line it skips), a
-check outside the parse rejects it. Only after the parse has failed does a
-loader look at the lines one by one, to name the first bad one.
+Numbers in P2 rasters and CSV grids are read by numpy's text parser
+(parse_text): a P2 raster in one pass, a CSV grid one line at a time, so a
+bad CSV cell is named by its line. README "Numerical conventions" lists the
+grammar. Where numpy reads a form the loaders never took (a "+" in a P2
+raster, non-ASCII or \\x1c-\\x1f spaces, an empty CSV line it skips), a
+check outside the parse rejects it.
 
 All functions here are pure: they never mutate their inputs.
 """
@@ -202,22 +202,17 @@ def _read_csv_grid(path) -> np.ndarray:
     lines = text.splitlines()
     if not lines:
         raise GridFormatError(f"{path}: empty CSV grid")
-    # Line breaks such as \x1c or U+2028 are not in the lines.
-    if plain_ascii(text) or all(map(plain_ascii, lines)):
+    rows = []
+    for ln, line in enumerate(lines, start=1):  # \x1c or U+2028 ends a line, as \n does
         try:
-            grid = parse_text(lines, delimiter=",", ndmin=2)
-            if len(grid) == len(lines):  # numpy skips empty lines
-                return grid
-        except ValueError:
-            pass
-    for ln, line in enumerate(lines, start=1):  # name the first bad line
-        try:
-            if not line or not plain_ascii(line):
+            if not line or not plain_ascii(line):  # numpy would skip an empty line
                 raise ValueError
-            parse_text([line], delimiter=",")
+            rows.append(parse_text([line], delimiter=",", ndmin=1))
         except ValueError:
             raise GridFormatError(f"{path}: line {ln}: unparseable cell") from None
-    raise GridFormatError(f"{path}: non-rectangular CSV (row lengths differ)")
+    if len({row.size for row in rows}) > 1:
+        raise GridFormatError(f"{path}: non-rectangular CSV (row lengths differ)")
+    return np.array(rows)
 
 
 def _infer_format(path, fmt: str | None) -> str:

@@ -64,6 +64,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.ema_decay < 1.0:
@@ -122,6 +124,7 @@ def ema_update(teacher_logits, student_logits, alpha: float) -> np.ndarray:
     return alpha * teacher + (1.0 - alpha) * student
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises instead
 def run_simulation(student_init_logits, config: TrainConfig,
                    teacher_init_logits=None) -> TrainTrace:
     """Run the full loop; the teacher starts as a copy of the student unless given."""
@@ -165,6 +168,8 @@ def run_simulation(student_init_logits, config: TrainConfig,
             grad += sup_grad * f_clean * (1.0 - f_clean)
 
         theta_s = theta_s - config.learning_rate * grad
+        if not np.isfinite(theta_s).all():
+            raise ValueError(f"student logits are not finite after step {tau}: the run diverged")
         theta_t = ema_update(theta_t, theta_s, config.ema_decay)
         dec = report.student_decomposition
         trace.records.append(StepRecord(

@@ -2,15 +2,26 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from topokit import cli
 from topokit.cli import main
 from topokit.grid import load_mask_pgm, save_grid_csv, save_mask_pgm
 from topokit.persistence import load_diagram_csv, save_diagram_csv
 
 from _support import diagram_from_pairs, random_distinct_grid
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +122,22 @@ class TestTopLevel:
         assert code == 1
         assert out == "" and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory\n"),
+        (_ArrayMemoryError((1 << 28,), np.dtype(np.int64)),
+         "error: Unable to allocate 2.00 GiB for an array with shape (268435456,) "
+         "and data type int64\n"),
+    ])
+    def test_memory_error_returns_two(self, capsys, monkeypatch, quad_grid, exc, message):
+        def compute_diagram(*args):
+            raise exc
+        monkeypatch.setattr(cli, "compute_diagram", compute_diagram)
+        code, out, err = run_cli(capsys, "pd", quad_grid)
+        assert_data_error(code, out, err)
+        assert err == message
 
 
 class TestPd:
@@ -496,6 +523,30 @@ class TestDemo:
         )
         assert_data_error(code, out, err)
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("scenario", ["noise-removal", "three-basins"])
+    def test_negative_seed_is_named(self, capsys, tmp_path, scenario):
+        code, out, err = run_cli(
+            capsys, "demo", "--scenario", scenario, "--seed", "-1",
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--student-out", str(tmp_path / "s.pgm"),
+            "--teacher-out", str(tmp_path / "te.pgm"),
+        )
+        assert_data_error(code, out, err)
+        assert err == "error: seed must be nonnegative, got -1\n"
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path):
+        # A process, so that a numpy RuntimeWarning would reach stderr as it does for a user.
+        argv = ["demo", "--steps", "50", "--eta", "1e300", "--lambda-u2", "1e300"]
+        script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" \
+                 f"from topokit.cli import main\nsys.exit(main({argv!r}))\n"
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             cwd=tmp_path)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == "error: student logits are not finite after step 1: " \
+                             "the run diverged\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_steps_returns_two(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topokit import persistence
-from topokit.losses import NOISE_DIAGONAL
+from topokit.losses import NOISE_DIAGONAL, finite_difference_check
 from topokit.scenarios import noise_removal_grid, perturbed_student_logits, three_basin_teacher
 from topokit.trainer import TrainConfig, likelihood_to_logits, run_simulation
 from topokit.grid import (
@@ -350,6 +350,17 @@ class TestRecentPairings:
         for _ in range(5):
             compute_diagram(random_distinct_grid(rng, 4, 4))
         assert len(persistence._recent) == 2
+
+    def test_grad_check_makes_one_kernel_call(self):
+        # Why _RECENT_SIZE is 2: finite_difference_check pairs the student with a fixed
+        # teacher, then probes the student one pixel at a time without changing its order.
+        # Two entries keep both orders, so every probe reuses them. A one-entry memo makes
+        # 3,147 kernel calls on this grid instead, and the check runs about 5x longer.
+        rng = np.random.default_rng(64)
+        student, teacher = random_distinct_grid(rng, 64, 64), random_distinct_grid(rng, 64, 64)
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            finite_difference_check(student, teacher)
+        assert kernel.call_count == 1
 
     def test_mutating_the_input_after_a_call(self):
         grid = random_distinct_grid(np.random.default_rng(5), 6, 6)

@@ -10,6 +10,7 @@ from scipy.special import expit
 from topokit.diagram import decompose
 from topokit.losses import NOISE_DIAGONAL
 from topokit.persistence import compute_diagram
+from topokit.scenarios import noise_removal_grid
 from topokit.trainer import (
     TRACE_CSV_HEADER,
     LabeledSupervision,
@@ -108,6 +109,7 @@ class TestConfigValidation:
         {"steps": 5, "ramp_k": -0.5},
         {"steps": 5, "strong_noise_sigma": -1.0},
         {"steps": 5, "noise_mode": "melt"},
+        {"steps": 5, "seed": -1},
     ] + [
         {"steps": 5, name: bad}
         for name in ("learning_rate", "ema_decay", "phi", "lambda_u2", "ramp_k",
@@ -141,6 +143,12 @@ class TestRunSimulation:
         assert rec.step == 1
         assert rec.ramp_weight == 0.1          # ramp reaches k at the final step
         assert trace.final_student.shape == (1, 2)
+
+    def test_diverging_run_raises_naming_the_step(self):
+        # Warnings are errors under the test configuration: an overflow warning would fail here.
+        config = TrainConfig(steps=50, learning_rate=1e300, lambda_u2=1e300)
+        with pytest.raises(ValueError, match=r"^student logits are not finite after step 1: "):
+            run_simulation(likelihood_to_logits(noise_removal_grid()), config)
 
     def test_steps_are_sequential(self):
         trace = run_simulation([[0.2, -0.4]], TrainConfig(steps=5))
