@@ -26,6 +26,8 @@ from .grid import (
     load_mask_pgm,
     save_csv_table,
     save_grid_pgm,
+    strict_float,
+    strict_int,
 )
 from .losses import (
     NOISE_MODES,
@@ -65,21 +67,9 @@ def _emit_json(items: list[tuple[str, object]]) -> None:
     print(json.dumps(obj))
 
 
-def _strict(parse):  # float() and int() read "1_0" and non-ASCII digits; the loaders do not
-    def strict(text: str):
-        if "_" in text or not text.isascii():
-            raise ValueError(text)
-        return parse(text)
-    strict.__name__ = parse.__name__  # argparse says "invalid float value: ..."
-    return strict
-
-
-_FLOAT, _INT = _strict(float), _strict(int)
-
-
 def _parse_order(text: str) -> float:
     try:
-        p = _FLOAT(text)  # "inf" and "infinity", in any case, read as math.inf
+        p = strict_float(text)  # "inf" and "infinity", in any case, read as math.inf
     except ValueError:
         raise _UsageError(f"invalid order p: {text!r}") from None
     if math.isnan(p) or p < 1.0:
@@ -209,7 +199,7 @@ def _add_grid_io_flags(sub: argparse.ArgumentParser) -> None:
                      help="input grid format (default: inferred from extension)")
     sub.add_argument("--direction", choices=DIRECTIONS, default=SUBLEVEL,
                      help="filtration direction (default: %(default)s)")
-    sub.add_argument("--connectivity", type=_INT, choices=(4, 8), default=4,
+    sub.add_argument("--connectivity", type=strict_int, choices=(4, 8), default=4,
                      help="foreground connectivity (default: %(default)s)")
 
 
@@ -228,7 +218,7 @@ def build_parser() -> _Parser:
     dec = subs.add_parser("decompose", help="split a diagram into signal and noise")
     dec.add_argument("grid")
     _add_grid_io_flags(dec)
-    dec.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
+    dec.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
                      help="persistence threshold (default: %(default)s)")
     dec.add_argument("--signal-out", required=True, help="signal diagram CSV path")
     dec.add_argument("--noise-out", required=True, help="noise diagram CSV path")
@@ -246,7 +236,7 @@ def build_parser() -> _Parser:
     loss.add_argument("--student", required=True)
     loss.add_argument("--teacher", required=True)
     _add_grid_io_flags(loss)
-    loss.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
+    loss.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
                       help="persistence threshold (default: %(default)s)")
     loss.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED,
                       help="noise-removal variant (default: %(default)s)")
@@ -257,19 +247,19 @@ def build_parser() -> _Parser:
     gc.add_argument("--student", required=True)
     gc.add_argument("--teacher", required=True)
     _add_grid_io_flags(gc)
-    gc.add_argument("--phi", type=_FLOAT, default=DEFAULT_PHI,
+    gc.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
                     help="persistence threshold (default: %(default)s)")
     gc.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED)
-    gc.add_argument("--h", type=_FLOAT, default=1e-5,
+    gc.add_argument("--h", type=strict_float, default=1e-5,
                     help="central-difference step (default: %(default)s)")
-    gc.add_argument("--tolerance", type=_FLOAT, default=1e-3,
+    gc.add_argument("--tolerance", type=strict_float, default=1e-3,
                     help="max relative error allowed (default: %(default)s)")
     gc.set_defaults(func=_cmd_grad_check)
 
     met = subs.add_parser("metrics", help="topology metrics between two PGM masks")
     met.add_argument("--pred", required=True)
     met.add_argument("--gt", required=True)
-    met.add_argument("--window", type=_INT, default=DEFAULT_WINDOW,
+    met.add_argument("--window", type=strict_int, default=DEFAULT_WINDOW,
                      help="window size for the windowed component-count error "
                           "(default: %(default)s)")
     met.set_defaults(func=_cmd_metrics)
@@ -281,26 +271,28 @@ def build_parser() -> _Parser:
     demo.add_argument("--init", default=None, help="student init likelihood grid (PGM/CSV)")
     demo.add_argument("--teacher-init", default=None,
                       help="teacher init likelihood grid (default: copy of the student)")
-    demo.add_argument("--steps", type=_INT, help="default: %(default)s")
-    demo.add_argument("--eta", type=_FLOAT, dest="learning_rate", metavar="ETA",
+    demo.add_argument("--steps", type=strict_int, help="default: %(default)s")
+    demo.add_argument("--eta", type=strict_float, dest="learning_rate", metavar="ETA",
                       help="learning rate (default: %(default)s)")
-    demo.add_argument("--alpha", type=_FLOAT, dest="ema_decay", metavar="ALPHA",
+    demo.add_argument("--alpha", type=strict_float, dest="ema_decay", metavar="ALPHA",
                       help="teacher EMA decay (default: %(default)s)")
-    demo.add_argument("--phi", type=_FLOAT, help="persistence threshold (default: %(default)s)")
-    demo.add_argument("--lambda-u2", type=_FLOAT,
+    demo.add_argument("--phi", type=strict_float,
+                      help="persistence threshold (default: %(default)s)")
+    demo.add_argument("--lambda-u2", type=strict_float,
                       help="topological loss weight (default: %(default)s)")
-    demo.add_argument("--ramp-k", type=_FLOAT,
+    demo.add_argument("--ramp-k", type=strict_float,
                       help="pixel consistency ramp-up ceiling (default: %(default)s)")
-    demo.add_argument("--sigma", type=_FLOAT, dest="strong_noise_sigma", metavar="SIGMA",
+    demo.add_argument("--sigma", type=strict_float, dest="strong_noise_sigma", metavar="SIGMA",
                       help="strong-view logit noise std (default: %(default)s)")
     demo.add_argument("--noise-mode", choices=NOISE_MODES)
-    demo.add_argument("--seed", type=_INT, help="default: %(default)s")
+    demo.add_argument("--seed", type=strict_int, help="default: %(default)s")
     demo.add_argument("--topo-on-perturbed", action="store_true",
                       help="feed the strong view (not the clean one) to the topological loss")
     demo.add_argument("--labeled-mask", default=None, help="optional supervision mask (PGM)")
-    demo.add_argument("--w1", type=_FLOAT,
+    demo.add_argument("--w1", type=strict_float,
                       help="supervised cross-entropy weight (default: %(default)s)")
-    demo.add_argument("--w2", type=_FLOAT, help="supervised Dice weight (default: %(default)s)")
+    demo.add_argument("--w2", type=strict_float,
+                      help="supervised Dice weight (default: %(default)s)")
     demo.add_argument("--trace-out", default="demo_trace.csv", help="default: %(default)s")
     demo.add_argument("--student-out", default="demo_student.pgm", help="default: %(default)s")
     demo.add_argument("--teacher-out", default="demo_teacher.pgm", help="default: %(default)s")

@@ -5,12 +5,14 @@ where low values mark foreground (dark structures). A mask is a 2D bool
 array with the same layout. Pixel identifiers used throughout the package
 are row-major linear indices into the grid.
 
-Numbers in P2 rasters and CSV grids are read by numpy's text parser
-(parse_text): a P2 raster in one pass, a CSV grid one line at a time, so a
-bad CSV cell is named by its line. README "Numerical conventions" lists the
-grammar. Where numpy reads a form the loaders never took (a "+" in a P2
-raster, non-ASCII or \\x1c-\\x1f spaces, an empty CSV line it skips), a
-check outside the parse rejects it.
+This module holds the number grammar of every reader, listed in README
+"Numerical conventions". P2 rasters and CSV grids are read by numpy's text
+parser (np.loadtxt): a P2 raster in one pass, a CSV grid one line at a time,
+so a bad CSV cell is named by its line. Where numpy reads a form the loaders
+never took (a "+" in a P2 raster, non-ASCII or \\x1c-\\x1f spaces, an empty CSV
+line it skips), a check outside the parse rejects it. Every other number (PGM
+header tokens, diagram CSV cells, the CLI's numeric flags) is read by
+strict_float or strict_int: float() and int() refusing "_" and non-ASCII text.
 
 All functions here are pure: they never mutate their inputs.
 """
@@ -52,6 +54,19 @@ class ComponentLabeling(NamedTuple):
 def format_real(x: float) -> str:
     """Canonical 9-significant-digit rendering used by every writer."""
     return REAL_FORMAT % float(x)
+
+
+def _strict(parse):
+    """parse refusing "_" and non-ASCII text, which float() and int() read ("1_0", "\u0665")."""
+    def strict(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return parse(text)
+    strict.__name__ = parse.__name__  # argparse says "invalid float value: ..."
+    return strict
+
+
+strict_float, strict_int = _strict(float), _strict(int)
 
 
 def as_likelihood(values) -> np.ndarray:
@@ -114,28 +129,6 @@ _P2_SPACES = bytes.maketrans(b"\t\n\v\f\r\x1c\x1d\x1e\x1f", b"     ????")
 _P2_INTEGER = re.compile(rb"-?[0-9]+")
 
 
-def parse_text(lines, **kwargs) -> np.ndarray:
-    """np.loadtxt over an iterable of lines with no comment character.
-
-    numpy's grammar: ASCII digits only, no digit separators, integers within
-    int64, whitespace around a field allowed. An empty line is skipped; input
-    with no rows gives an empty array instead of numpy's warning.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        return np.loadtxt(lines, comments=None, **kwargs)
-
-
-def plain_ascii(text: str) -> bool:
-    """False if text holds a character numpy strips around a number but the loaders never took.
-
-    numpy strips all Unicode whitespace. float() and int() strip non-ASCII spaces as
-    well, but the loaders rejected any non-ASCII text; of the ASCII characters they
-    strip only \\t\\n\\v\\f\\r and the space, not \\x1c-\\x1f.
-    """
-    return text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
-
-
 def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     """Parse a PGM file into (height x width int array, maxval)."""
     path = Path(path)
@@ -151,11 +144,10 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     if magic not in (b"P2", b"P5"):
         raise GridFormatError(f"{path}: not a PGM file (magic {magic!r})")
     try:
-        header = b"".join(tokens[1:4])
-        if b"_" in header or b"+" in header:  # int() reads b"+1_0" as 10
+        if b"+" in b"".join(tokens[1:4]):  # int() reads b"+10" as 10
             raise ValueError
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
+        width, height, maxval = (strict_int(t.decode()) for t in tokens[1:4])
+    except ValueError:  # a UnicodeDecodeError is one too
         raise GridFormatError(f"{path}: malformed PGM header {tokens[1:4]!r}") from None
     if width < 1 or height < 1:
         raise GridFormatError(f"{path}: bad PGM dimensions {width}x{height}")
@@ -167,7 +159,9 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
             if data.find(b"+", pos) >= 0:  # numpy reads "+5" as 5
                 raise ValueError
             line = str(memoryview(data.translate(_P2_SPACES))[pos:], "ascii")
-            samples = parse_text([line], dtype=np.int64, ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty raster: "no data"
+                samples = np.loadtxt([line], dtype=np.int64, ndmin=1, comments=None)
         except ValueError:  # a UnicodeDecodeError is one too
             raw = data[pos:].split()
             if not all(map(_P2_INTEGER.fullmatch, raw)):
@@ -203,11 +197,12 @@ def _read_csv_grid(path) -> np.ndarray:
     if not lines:
         raise GridFormatError(f"{path}: empty CSV grid")
     rows = []
-    for ln, line in enumerate(lines, start=1):  # \x1c or U+2028 ends a line, as \n does
+    for ln, line in enumerate(lines, start=1):  # \x1c-\x1e or U+2028 ends a line, as \n does
         try:
-            if not line or not plain_ascii(line):  # numpy would skip an empty line
+            # numpy would skip an empty line and strip non-ASCII spaces and \x1f around a cell
+            if not line or not line.isascii() or "\x1f" in line:
                 raise ValueError
-            rows.append(parse_text([line], delimiter=",", ndmin=1))
+            rows.append(np.loadtxt([line], delimiter=",", ndmin=1, comments=None))
         except ValueError:
             raise GridFormatError(f"{path}: line {ln}: unparseable cell") from None
     if len({row.size for row in rows}) > 1:

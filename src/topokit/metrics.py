@@ -102,12 +102,11 @@ def _voi(lp: ComponentLabeling, lg: ComponentLabeling) -> float:
     y = lg.labels.ravel().astype(np.int64)
     n = x.size
     stride = int(y.max()) + 1
-    joint = np.bincount(x * stride + y)
-    nij = joint[joint > 0].astype(np.float64)
+    keys, nij = np.unique(x * stride + y, return_counts=True)  # only pairs that occur
+    nij = nij.astype(np.float64)
     ni = np.bincount(x).astype(np.float64)
     nj = np.bincount(y).astype(np.float64)
     # VOI = sum_ij p_ij * ln(n_i * n_j / n_ij^2); exactly 0 for identical inputs.
-    keys = np.flatnonzero(joint)
     ni_of = ni[keys // stride]
     nj_of = nj[keys % stride]
     return float(np.sum((nij / n) * np.log((ni_of * nj_of) / (nij * nij))))

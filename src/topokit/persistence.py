@@ -54,9 +54,9 @@ equals an earlier miss of its batch (a teacher equal to its student) reuses
 that pending pairing, and the memory ends as after one call per grid.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
-splits its rows, and reads each row with float() and int() into array.array
-columns, so memory grows with the dots, not the text. A row with "_", text that
-is not grid.plain_ascii or an integer past int64 is unparseable.
+splits its rows, and reads each cell with grid.strict_float or grid.strict_int
+into array.array columns, so memory grows with the dots, not the text. A row
+with a cell those refuse or an integer past int64 is unparseable.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ from .grid import (
     SUPERLEVEL,
     GridFormatError,
     as_likelihood,
-    plain_ascii,
+    strict_float,
+    strict_int,
 )
 
 DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
@@ -371,8 +372,8 @@ _INT64 = range(-2**63, 2**63)
 def _diagram_row(row: list[str], line: int) -> tuple[float, float, int, int]:
     """birth, death, birth_px and death_px (-1 when empty) of one csv row on the given line.
 
-    A row with "_" or text that is not grid.plain_ascii, or with an integer past int64,
-    is unparseable. The GridFormatError (without the path) names the first failing
+    A row with a cell grid.strict_float or grid.strict_int refuses, or with an integer past
+    int64, is unparseable. The GridFormatError (without the path) names the first failing
     check: the column count, the parse, the value range, the pixel signs, the flag, the
     flag against death_px.
     """
@@ -380,11 +381,9 @@ def _diagram_row(row: list[str], line: int) -> tuple[float, float, int, int]:
         raise GridFormatError(f"line {line}: expected 5 columns, got {len(row)}")
     given = row[3] != ""
     try:
-        text = "".join(row)
-        if "_" in text or not plain_ascii(text):
-            raise ValueError
-        birth, death, birth_px, essential = float(row[0]), float(row[1]), int(row[2]), int(row[4])
-        death_px = int(row[3]) if given else -1
+        birth, death = strict_float(row[0]), strict_float(row[1])
+        birth_px, essential = strict_int(row[2]), strict_int(row[4])
+        death_px = strict_int(row[3]) if given else -1
         if birth_px not in _INT64 or death_px not in _INT64 or essential not in _INT64:
             raise ValueError
     except ValueError:

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, byte-stable outputs."""
 
+import argparse
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 
 from topokit import cli
 from topokit.cli import main
-from topokit.grid import load_mask_pgm, save_grid_csv, save_mask_pgm
+from topokit.grid import load_mask_pgm, save_grid_csv, save_mask_pgm, strict_float, strict_int
 from topokit.persistence import load_diagram_csv, save_diagram_csv
 
 from _support import diagram_from_pairs, random_distinct_grid
@@ -123,6 +126,16 @@ class TestTopLevel:
         assert out == "" and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_every_numeric_flag_is_read_by_the_grid_grammar(self):
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        numeric = []
+        for command, sub in subs.choices.items():
+            for action in sub._actions:
+                if action.type is not None or type(action.default) in (int, float):
+                    numeric.append((command, action.dest, action.type))
+        assert numeric and all(parse in (strict_float, strict_int) for *_, parse in numeric), numeric
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("exc, message", [
@@ -138,6 +151,56 @@ class TestOutOfMemory:
         code, out, err = run_cli(capsys, "pd", quad_grid)
         assert_data_error(code, out, err)
         assert err == message
+
+
+@pytest.fixture(scope="module")
+def random_p5_4096(tmp_path_factory):
+    """Two random 4096 x 4096 P5 grids: one kernel call on either needs GiBs."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a.pgm", "b.pgm"):
+        path = tmp_path_factory.mktemp("p5") / name
+        path.write_bytes(b"P5\n4096 4096\n255\n" + rng.bytes(4096 * 4096))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+class TestAddressSpaceLimit:
+    """Each grid subcommand in a child process whose address space is capped with RLIMIT_AS."""
+
+    @staticmethod
+    def child(body: str, **kwargs) -> subprocess.CompletedProcess:
+        script = f"import resource, sys\nsys.path.insert(0, {str(SRC)!r})\n{body}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # no per-thread buffers to map
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, **kwargs)
+
+    @pytest.fixture(scope="class")
+    def limit(self):
+        # The address space of a child that has imported all that a subcommand imports, plus
+        # 256 MiB: below what one 4096^2 grid needs (a float64 copy alone is 128 MiB, the
+        # kernel several more), above what the imports and a 16 MiB input file need.
+        probe = "import topokit.cli, scipy.ndimage, scipy.sparse, scipy.special\n" \
+                "print(open('/proc/self/status').read())"
+        status = self.child(probe, check=True).stdout
+        return int(re.search(r"VmSize:\s+(\d+) kB", status)[1]) * 1024 + (256 << 20)
+
+    @pytest.mark.parametrize("argv", [
+        ["pd", "A"],
+        ["decompose", "A", "--signal-out", "s.csv", "--noise-out", "n.csv"],
+        ["loss", "--student", "A", "--teacher", "B", "--grad-out", "g.csv"],
+        ["metrics", "--pred", "A", "--gt", "B"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_two_with_one_error_line(self, tmp_path, random_p5_4096, limit, argv):
+        paths = dict(zip("AB", random_p5_4096))
+        argv = [paths.get(arg, arg) for arg in argv]
+        run = self.child(f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                         f"from topokit.cli import main\nsys.exit(main({argv!r}))\n", cwd=tmp_path)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPd:

@@ -22,7 +22,6 @@ from topokit.grid import (
     label_components,
     load_grid,
     load_mask_pgm,
-    parse_text,
     save_grid_csv,
     save_grid_pgm,
     save_mask_pgm,
@@ -489,6 +488,11 @@ class TestFrozenBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_PGM_DIGESTS[case]
 
 
+def parse_text(lines, **kwargs):
+    """np.loadtxt as the P2 and CSV grid readers call it, with no comment character."""
+    return np.loadtxt(lines, comments=None, **kwargs)
+
+
 class TestNumpyGrammar:
     """What numpy's parser does with the forms the loaders used to scan for by hand."""
 
@@ -517,8 +521,24 @@ class TestNumpyGrammar:
         with pytest.raises(ValueError):
             int(b"5\x1c6")
 
+    # So strict_float and strict_int, the diagram CSV's parsers, need no check for them.
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    @pytest.mark.parametrize("parse", [float, int])
+    @pytest.mark.parametrize("form", ["{}5", "5{}", "5{}6", " {}5 "])
+    def test_float_and_int_reject_unit_separators_around_a_number(self, separator, parse, form):
+        assert separator.isspace()  # str.split() splits at it; float() and int() do not strip it
+        with pytest.raises(ValueError):
+            parse(form.format(separator))
+
     def test_no_rows_give_an_empty_array(self):
-        assert parse_text([], delimiter=",").size == 0
+        with pytest.warns(UserWarning, match="input contained no data"):  # an empty P2 raster
+            assert parse_text([], delimiter=",").size == 0
+
+    # So a CSV grid line, once it is not empty, cannot reach that warning.
+    @pytest.mark.parametrize("line", [" ", "\t", " \t ", "\v", "\f", " , "])
+    def test_rejects_a_whitespace_only_line(self, line):
+        with pytest.raises(ValueError):
+            parse_text([line], delimiter=",", ndmin=1)
 
 
 def _outcome(read, content: bytes, suffix: str):

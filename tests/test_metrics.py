@@ -1,10 +1,14 @@
 """Mask-comparison metrics: windowed Betti error, matched-component error, VOI."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topokit.grid import label_components
 from topokit.metrics import (
     DEFAULT_WINDOW,
     betti_error,
@@ -17,6 +21,19 @@ from topokit.metrics import (
 
 def random_mask(rng, shape=(8, 8), density=0.4):
     return rng.uniform(size=shape) < density
+
+
+def dense_table_voi(pred, gt) -> float:
+    """VOI from a dense (pred components + 1) x (gt components + 1) table of joint counts."""
+    x = label_components(pred, 4).labels.ravel().astype(np.int64)
+    y = label_components(gt, 4).labels.ravel().astype(np.int64)
+    stride = int(y.max()) + 1
+    joint = np.bincount(x * stride + y)
+    nij = joint[joint > 0].astype(np.float64)
+    ni = np.bincount(x).astype(np.float64)
+    nj = np.bincount(y).astype(np.float64)
+    keys = np.flatnonzero(joint)
+    return float(np.sum((nij / x.size) * np.log((ni[keys // stride] * nj[keys % stride]) / (nij * nij))))
 
 
 class TestBettiError:
@@ -139,6 +156,27 @@ class TestVariationOfInformation:
         for _ in range(30):
             a, b = random_mask(rng), random_mask(rng)
             assert variation_of_information(a, b) >= 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.floats(0, 1),
+           st.integers(0, 2**32 - 1))
+    def test_bits_equal_a_dense_joint_table(self, h, w, pred_density, gt_density, seed):
+        rng = np.random.default_rng(seed)
+        pred, gt = random_mask(rng, (h, w), pred_density), random_mask(rng, (h, w), gt_density)
+        assert variation_of_information(pred, gt).hex() == dense_table_voi(pred, gt).hex()
+
+    def test_memory_grows_with_the_pixels_not_the_component_pairs(self):
+        rng = np.random.default_rng(1)
+        pred, gt = random_mask(rng, (256, 256), 0.5), random_mask(rng, (256, 256), 0.5)
+        variation_of_information(pred[:2, :2], gt[:2, :2])  # scipy's import is not measured
+        tracemalloc.start()
+        try:
+            variation_of_information(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 4.4k components per mask: a dense table of their pairs takes 148 MiB.
+        assert peak <= 16 * 2**20
 
     def test_component_structure_matters(self):
         # same foreground pixel count, different component structure

@@ -48,7 +48,7 @@ from _support import (
 
 
 HEADER = "birth,death,birth_px,death_px,essential\n"
-CHUNK = 1024
+CHUNK = 1024  # the long-file tests put rows on both sides of its multiples
 
 
 def dot_tuples(diagram):
@@ -745,7 +745,7 @@ class TestDiagramCsv:
         with pytest.raises(GridFormatError, match="field larger than field limit"):
             load_diagram_csv(path)
 
-    # Rows on both sides of CHUNK and 2 * CHUNK, and one far into the file.
+    # Bad rows at CHUNK and 2 * CHUNK, give or take one, and one far into the file.
     @pytest.mark.parametrize("bad", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2500])
     def test_first_bad_row_of_a_long_file(self, tmp_path, bad):
         rows = [f"0.1,0.9,{i},{i + 1},0" for i in range(3000)]
@@ -788,8 +788,8 @@ class TestDiagramCsv:
             load_diagram_csv(path)
 
     def test_peak_memory_of_a_long_file(self, tmp_path):
-        # Decoding the whole 2 MB file, then one np.loadtxt over a structured dtype with an
-        # object column, peaked at 27.5 MiB here; reading a row at a time peaks at 2.0.
+        # A whole-file parse of this 2 MB file (decode, then one np.loadtxt over a structured
+        # dtype with an object column) peaked at 27.5 MiB; a row at a time peaks at 2.0.
         rng = np.random.default_rng(5)
         n = 60_000
         birth = rng.random(n)
@@ -857,8 +857,9 @@ def _diagram_outcome(read, content: bytes):
 class TestDiagramCsvAgainstTheOldParser:
     """load_diagram_csv gives the columns and the messages of the old whole-file parser.
 
-    Both split rows with csv.reader and read them with float() and int(); the old one
-    (reference_diagram_csv) listed every row first, the loader reads one row at a time.
+    Both split rows with csv.reader and read them with float() and int(), refusing "_" and
+    non-ASCII text. The old one (reference_diagram_csv) listed every row first and checked
+    each row's text as a whole; the loader reads one row at a time and checks each cell.
     The intended difference: an integer past int64 makes its row unparseable. The old
     parser read it, so it failed later: at a check of that row or of a later one, or
     with an OverflowError once every row had passed.
