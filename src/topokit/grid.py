@@ -20,6 +20,7 @@ All functions here are pure: they never mutate their inputs.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -69,6 +70,33 @@ def _strict(parse):
 strict_float, strict_int = _strict(float), _strict(int)
 
 
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module package.name, without running package's __init__.
+
+    The module is registered in sys.modules under its dotted name, so a later public
+    import reuses it: it does not bind it as the attribute package.name (scipy itself
+    reads no such attribute). On any other scipy layout this imports package.name.
+    """
+    full = f"{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], *package.split(".")[1:])
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        return importlib.import_module(full)
+    spec.name = full  # module_from_spec and a later public import key on the dotted name
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
 def as_likelihood(values) -> np.ndarray:
     """Coerce to a validated 2D float64 likelihood grid.
 
@@ -106,13 +134,18 @@ def threshold(grid, c: float, direction: str = SUBLEVEL) -> np.ndarray:
 
 def label_components(mask, connectivity: int = 4) -> ComponentLabeling:
     """4- or 8-connected components of the foreground, raster-ordered labels."""
-    from scipy import ndimage
-
     mask = as_mask(mask)
     if connectivity not in _STRUCTURE:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    # scipy numbers the components 1, 2, ... in the order a raster scan meets them.
-    labels, count = ndimage.label(mask, structure=_STRUCTURE[connectivity], output=np.int32)
+    # ndimage.label's kernel numbers the components 1, 2, ... in the order a raster scan
+    # meets them. as_mask refuses the size-0 mask that ndimage.label answers without it.
+    ni_label = _scipy_extension("scipy.ndimage", "_ni_label")
+    labels = np.empty(mask.shape, np.int32)
+    try:
+        count = ni_label._label(mask, _STRUCTURE[connectivity], labels)
+    except ni_label.NeedMoreBits:  # only from 2**31 - 2 pixels: ndimage.label retries in intp
+        from scipy import ndimage
+        labels, count = ndimage.label(mask, structure=_STRUCTURE[connectivity], output=np.int32)
     return ComponentLabeling(labels, count)
 
 
@@ -166,8 +199,10 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
             raw = data[pos:].split()
             if not all(map(_P2_INTEGER.fullmatch, raw)):
                 raise GridFormatError(f"{path}: non-integer sample in P2 raster") from None
-            # Integers past int64: the checks below name the first one as out of range.
-            samples = np.array([int(t) for t in raw], dtype=object)
+            # Integers past int64: the checks below name the first one as out of range. int()
+            # takes at most 4300 digits; float() reads longer ones (+-inf unless zero-padded).
+            samples = np.array([int(t) if len(t.lstrip(b"-")) <= 4300 else float(t) for t in raw],
+                               dtype=object)
     else:
         pos += 1  # exactly one whitespace byte separates maxval from the raster
         itemsize = 2 if maxval > 255 else 1
@@ -181,9 +216,10 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     bad = np.flatnonzero((samples < 0) | (samples > maxval))
     if bad.size:
         i = int(bad[0])
-        sample = int(samples[i])
+        sample = samples[i]
         bound = f"exceeds maxval {maxval}" if sample > 0 else f"is outside [0, {maxval}]"
-        raise GridFormatError(f"{path}: sample {sample} at pixel {i} {bound}")
+        shown = "of over 4300 digits" if sample in (np.inf, -np.inf) else int(sample)
+        raise GridFormatError(f"{path}: sample {shown} at pixel {i} {bound}")
     return samples.reshape(height, width), maxval
 
 

@@ -6,35 +6,38 @@ diagonal projection, solved exactly. Dot-to-dot costs use the Euclidean
 2-norm in the (birth, death) plane; the distance from a dot to the diagonal
 is |death - birth| / sqrt(2).
 
-For p = infinity the cost is the bottleneck distance, computed by binary
-search over candidate distances with a bipartite feasibility matching. The
-bottleneck ground metric is the Chebyshev (max) norm, the convention under
-which the diagram of a perturbed grid stays within the perturbation bound;
-the diagonal gap is then |death - birth| / 2.
+For p = infinity the cost is the bottleneck distance. Its ground metric is the
+Chebyshev (max) norm, the convention under which the diagram of a perturbed
+grid stays within the perturbation bound; the diagonal gap is then
+|death - birth| / 2. The cost is the least entry d of the augmented matrix
+whose entries <= d hold a perfect matching (Efrat, Itai & Katz, Algorithmica
+2001), found by binary search from the largest row or column minimum up to the
+largest gap. A probe tests the n x m dot graph alone: each dot farther than d
+from the diagonal must be matched within d, and by the Mendelsohn-Dulmage
+theorem a matching covering such left dots and one covering such right dots
+combine into one; every other dot goes to the diagonal. Hopcroft-Karp then
+runs once on the whole augmented graph at d, so the pairs are those of that
+graph's matching, whatever the search that found d.
 
 Essential dots participate like any other dot. The matched pairs are one
 read-only (k, 2) int64 array, in the row order DiagramMatching states.
 
-Both solvers are scipy's compiled functions, loaded by _scipy_extension
-straight from their extension modules: scipy/optimize/_lsap needs only numpy,
-scipy/sparse/csgraph/_matching numpy and scipy.sparse. The public imports
-would first run the packages' __init__: scipy.optimize's imports
-scipy.linalg, fft and special (0.4-0.6 s per process on a 2-core x86 box,
-where _lsap alone loads in 12-16 ms), and scipy.sparse.csgraph's costs
-0.12-0.15 s beyond scipy.sparse (under 1 ms for _matching). Each module is
-registered in sys.modules under its dotted name, so a later public import
-reuses it and exports the very same function. On any other scipy layout
-the helper imports the module by that dotted name instead.
+Both solvers are scipy's compiled functions, loaded by grid._scipy_extension
+without the packages' __init__: scipy.optimize's imports scipy.linalg, fft and
+special (0.4-0.6 s per process on a 2-core x86 box, where _lsap alone loads in
+12-16 ms), and scipy.sparse.csgraph's costs 0.12-0.15 s beyond scipy.sparse.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _scipy_extension
 from .persistence import PersistenceDiagram
 
 DIAGONAL = -1
@@ -112,32 +115,6 @@ def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarra
     return dist
 
 
-def _scipy_extension(package: str, name: str):
-    """scipy's compiled module package.name, without running package's __init__.
-
-    A later import of package finds the module in sys.modules, so it does not bind it
-    as the attribute package.name (scipy itself reads neither such attribute).
-    """
-    full = f"{package}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    import importlib.machinery
-    import importlib.util
-    import os
-
-    import scipy
-
-    where = os.path.join(scipy.__path__[0], *package.split(".")[1:])
-    spec = importlib.machinery.PathFinder.find_spec(name, [where])
-    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
-        return importlib.import_module(full)
-    spec.name = full  # module_from_spec and a later public import key on the dotted name
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[full] = module
-    return module
-
-
 def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     linear_sum_assignment = _scipy_extension("scipy.optimize", "_lsap").linear_sum_assignment
     n, m = len(lpts), len(rpts)
@@ -172,20 +149,20 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
 
     maximum_bipartite_matching = _scipy_extension(
         "scipy.sparse.csgraph", "_matching").maximum_bipartite_matching
+    n, m = len(lpts), len(rpts)
     dist = _augmented(lpts, rpts, chebyshev=True)
-    candidates = np.unique(dist[np.isfinite(dist)])  # the optimum is one of these
+    near, lgap, rgap = dist[:n, :m], np.diagonal(dist[:n, m:]), np.diagonal(dist[n:, :m])
+    # Every row and column needs an entry <= d; sending every dot to the diagonal is feasible.
+    lo = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+    hi = max(lgap.max(initial=0.0), rgap.max(initial=0.0))
+    candidates = np.unique(dist[(dist >= lo) & (dist <= hi)])  # the optimum is one of these
 
-    def matching_at(d: float):
-        row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
-        return row_of_col if (row_of_col >= 0).all() else None
+    def feasible(d: float) -> bool:  # every dot farther than d from the diagonal matched within d
+        edges = near <= d
+        return all((maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all()
+                   for graph in (edges[lgap > d], edges.T[rgap > d]))
 
-    lo, hi = 0, len(candidates) - 1  # the largest candidate is always feasible
-    best = matching_at(float(candidates[hi]))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = matching_at(float(candidates[mid]))
-        if found is None:
-            lo = mid + 1
-        else:
-            best, hi = found, mid
-    return _pairs_from_assignment(best, np.arange(best.size), len(lpts), len(rpts)), float(candidates[hi])
+    last = len(candidates) - 1  # candidates[last] is hi, feasible, never probed
+    d = float(candidates[bisect.bisect_left(candidates, True, hi=last, key=feasible)])
+    row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
+    return _pairs_from_assignment(row_of_col, np.arange(row_of_col.size), n, m), d

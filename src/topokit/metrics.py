@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComponentLabeling, as_mask, label_components
-from .matching import _scipy_extension
+from .grid import ComponentLabeling, _scipy_extension, as_mask, label_components
 
 DEFAULT_WINDOW = 256
 

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
+from topokit.matching import _augmented, _pairs_from_assignment
 from topokit.persistence import DIAGRAM_CSV_HEADER, PersistenceDiagram, PersistentDot
 
 ORACLE_PIXEL_LIMIT = 400
@@ -209,6 +212,33 @@ def brute_bottleneck(left_pairs, right_pairs) -> float:
                 worst = max(worst, (rd - rb) / 2.0)
         best = min(best, worst)
     return best
+
+
+def oracle_bottleneck(lpts: np.ndarray, rpts: np.ndarray):
+    """(pairs, cost) of the bottleneck matching, every probe on the whole augmented graph.
+
+    Binary search over every distinct finite entry of the (n+m)^2 matrix; each probe runs
+    Hopcroft-Karp on the augmented graph at that threshold, diagonal-copy block included.
+    The pairs are those of the last feasible probe. matching._bottleneck must agree bit
+    for bit.
+    """
+    dist = _augmented(lpts, rpts, chebyshev=True)
+    candidates = np.unique(dist[np.isfinite(dist)])  # the optimum is one of these
+
+    def matching_at(d: float):
+        row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
+        return row_of_col if (row_of_col >= 0).all() else None
+
+    lo, hi = 0, len(candidates) - 1  # the largest candidate is always feasible
+    best = matching_at(float(candidates[hi]))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = matching_at(float(candidates[mid]))
+        if found is None:
+            lo = mid + 1
+        else:
+            best, hi = found, mid
+    return _pairs_from_assignment(best, np.arange(best.size), len(lpts), len(rpts)), float(candidates[hi])
 
 
 def brute_assignment_cost(cost_matrix) -> float:

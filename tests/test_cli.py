@@ -251,6 +251,13 @@ class TestPd:
         assert_data_error(code, out, err)
         assert err.endswith("sample 99999999999999999999 at pixel 0 exceeds maxval 255\n")
 
+    def test_p2_sample_past_the_int_digit_limit_returns_two(self, capsys, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_text(f"P2\n2 1\n255\n{'9' * 5000} 3\n")
+        code, out, err = run_cli(capsys, "pd", str(path))
+        assert_data_error(code, out, err)
+        assert err == f"error: {path}: sample of over 4300 digits at pixel 0 exceeds maxval 255\n"
+
     def test_csv_value_outside_range_prints_a_plain_float(self, capsys, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0.5,nan\n")

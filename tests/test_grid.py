@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from topokit import grid as grid_module
 from topokit.grid import (
@@ -154,6 +155,33 @@ class TestLabelComponents:
         assert labeling.count == count
         assert labeling.labels.dtype == np.int32 and np.array_equal(labeling.labels, labels)
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_labels_equal_ndimage_label(self, connectivity):
+        mask = np.random.default_rng(8).random((1024, 1024)) < 0.5
+        structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+        labels, count = ndimage.label(mask, structure=structure, output=np.int32)
+        labeling = label_components(mask, connectivity)
+        assert labeling.count == count and labeling.labels.tobytes() == labels.tobytes()
+
+    def test_a_label_overflow_is_retried_by_ndimage_label(self, monkeypatch):
+        # _ni_label raises NeedMoreBits only from 2**31 - 2 pixels; fake it on a small mask.
+        mask = np.random.default_rng(9).random((30, 40)) < 0.5
+        expected = label_components(mask, 8)
+        kernel = grid_module._scipy_extension("scipy.ndimage", "_ni_label")
+        label, outputs = kernel._label, []
+
+        def overflow_once(image, structure, output):
+            outputs.append(output.dtype)
+            if len(outputs) == 1:
+                raise kernel.NeedMoreBits()
+            return label(image, structure, output)
+        monkeypatch.setattr(kernel, "_label", overflow_once)
+        labeling = label_components(mask, 8)
+        assert outputs == [np.int32, np.int32]  # below 2**31 - 2 pixels ndimage.label keeps int32
+        assert labeling.count == expected.count
+        assert labeling.labels.dtype == np.int32
+        assert np.array_equal(labeling.labels, expected.labels)
+
     def test_labels_constant_within_component(self):
         mask = np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool)
         labeling = label_components(mask, 4)
@@ -226,12 +254,26 @@ class TestPgm:
         ("300 99999999999999999999", "sample 300 at pixel 0 exceeds maxval 255"),
         ("99999999999999999999", "expected 2 samples, found 1"),
         ("99999999999999999999 x", "non-integer sample"),
+        # int() refuses more than 4300 digits; the message then names no number.
+        pytest.param(f"{'9' * 5000} 3", "sample of over 4300 digits at pixel 0 exceeds maxval "
+                     "255$", id="5000 digits"),
+        pytest.param(f"3 -{'9' * 5000}", r"sample of over 4300 digits at pixel 1 is outside "
+                     r"\[0, 255\]$", id="-5000 digits"),
+        pytest.param(f"{'0' * 5000}300 -{'9' * 4300}", "sample 300 at pixel 0 exceeds maxval "
+                     "255$", id="5000 leading zeros"),
+        pytest.param(f"3 -{'9' * 4300}", rf"sample -{'9' * 4300} at pixel 1 is outside",
+                     id="-4300 digits"),
     ])
     def test_samples_past_int64_are_out_of_range(self, tmp_path, raster, message):
         path = tmp_path / "big.pgm"
         path.write_text(f"P2\n2 1\n255\n{raster}\n")
         with pytest.raises(GridFormatError, match=message):
             load_grid(path)
+
+    def test_samples_with_leading_zeros_past_the_int_digit_limit(self, tmp_path):
+        path = tmp_path / "zeros.pgm"
+        path.write_text(f"P2\n2 1\n255\n{'0' * 5000}51 {'0' * 4300}255 \n")
+        assert load_grid(path).tolist() == [[0.2, 1.0]]
 
     @pytest.mark.parametrize("raster", ["5 #3", "5 -", "5\x1c3", "5\x1f 3", "5 3\x00", "5 3.0"])
     def test_hashes_dashes_and_separators_are_non_integer(self, tmp_path, raster):

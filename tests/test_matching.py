@@ -2,11 +2,15 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from topokit.grid import _scipy_extension
 from topokit.matching import DIAGONAL, match_diagrams
 from topokit.persistence import PersistenceDiagram
 
@@ -15,6 +19,7 @@ from _support import (
     brute_bottleneck,
     brute_wasserstein,
     diagram_from_pairs,
+    oracle_bottleneck,
     random_diagram_pairs,
 )
 
@@ -173,6 +178,87 @@ class TestOptimality:
             cost = rng.integers(0, 50, (size, size))
             rows, cols = linear_sum_assignment(cost)
             assert float(cost[rows, cols].sum()) == brute_assignment_cost(cost)
+
+
+def grid_shaped_dots(rng, k: int, quantized: bool) -> np.ndarray:
+    """k (birth, death) rows shaped like a grid's sublevel diagram, essential dot last.
+
+    Random grids give no zero-persistence dot; on 8-bit grids most dots are born and
+    die on one plateau level, so birth == death.
+    """
+    birth = rng.uniform(0.0, 0.6, k)
+    life = rng.uniform(0.002, 0.35, k)
+    if quantized:
+        birth = np.rint(birth * 255) / 255
+        life = np.where(rng.random(k) < 0.85, 0.0, np.rint(life * 255) / 255)
+    death = np.minimum(birth + life, 1.0)
+    birth[-1], death[-1] = birth.min(), 1.0
+    return np.stack([birth, death], axis=1)
+
+
+def assert_oracle_bottleneck(left, right):
+    got = match_diagrams(diagram_from_pairs(left), diagram_from_pairs(right), math.inf)
+    pairs, cost = oracle_bottleneck(np.reshape(left, (-1, 2)), np.reshape(right, (-1, 2)))
+    assert got.cost == cost
+    assert got.pairs.shape == pairs.shape and got.pairs.tobytes() == pairs.tobytes()
+
+
+@st.composite
+def bottleneck_sides(draw):
+    """Two sides of 0-8 dots: on a 1/4, 1/8 or 1/255 grid (ties) or continuous, some with
+    birth == death; the right side independent, equal to the left, sharing some of its
+    dots, or all zero-persistence."""
+    steps = draw(st.sampled_from([4, 8, 255, None]))
+    value = st.integers(0, steps).map(lambda v: v / steps) if steps else st.floats(0.0, 1.0)
+
+    def side():
+        dots = draw(st.lists(st.tuples(value, value, st.booleans()), max_size=8))
+        return [(min(a, b), min(a, b) if zero else max(a, b)) for a, b, zero in dots]
+
+    left = side()
+    kind = draw(st.sampled_from(["independent", "equal", "shared", "all-zero"]))
+    if kind == "equal":
+        right = list(left)
+    elif kind == "shared":
+        right = side() + draw(st.permutations(left))[:draw(st.integers(0, len(left)))]
+    else:
+        right = side()
+        if kind == "all-zero":
+            right = [(b, b) for b, _ in right]
+    return left, right
+
+
+class TestBottleneckAgainstTheFullGraphSearch:
+    """Cost and pairs bit-equal to the binary search over the whole augmented graph."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("sizes", [(50, 50), (200, 200), (400, 400), (400, 150)],
+                             ids=lambda sizes: "%dx%d" % sizes)
+    def test_grid_shaped_diagrams(self, sizes, quantized):
+        rng = np.random.default_rng(sum(sizes) + quantized)
+        assert_oracle_bottleneck(*(grid_shaped_dots(rng, k, quantized) for k in sizes))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(bottleneck_sides())
+    def test_small_diagrams_ties_and_empty_sides(self, sides):
+        left, right = sides
+        assume(left or right)
+        assert_oracle_bottleneck(left, right)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_one_augmented_size_matching_per_call(self, quantized):
+        # The threshold search probes the n x m dot graph only; Hopcroft-Karp runs on the
+        # (n+m)^2 augmented graph once, at the optimum, for the pairs.
+        rng = np.random.default_rng(83)
+        left, right = grid_shaped_dots(rng, 200, quantized), grid_shaped_dots(rng, 150, quantized)
+        kernel = _scipy_extension("scipy.sparse.csgraph", "_matching")
+        with mock.patch.object(kernel, "maximum_bipartite_matching",
+                               wraps=kernel.maximum_bipartite_matching) as solver:
+            match_diagrams(diagram_from_pairs(left), diagram_from_pairs(right), math.inf)
+        shapes = [call.args[0].shape for call in solver.call_args_list]
+        assert len(shapes) > 1  # the search probed
+        assert shapes.count((350, 350)) == 1 and shapes[-1] == (350, 350)
+        assert all(rows <= 200 and cols <= 200 for rows, cols in shapes[:-1])
 
 
 class TestMetricAxioms:

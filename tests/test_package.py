@@ -76,61 +76,75 @@ def _subcommand_argv(tmp_path, command):
 
 _LSAP = (("scipy.optimize", "scipy.linalg", "scipy.fft"), "scipy.optimize._lsap")
 _MATCHING = (("scipy.sparse.csgraph",), "scipy.sparse.csgraph._matching")
-KERNEL_OF = {"wasserstein-2": _LSAP, "loss": _LSAP, "wasserstein-inf": _MATCHING,
-             "metrics": _MATCHING}
+_LABEL = (("scipy.ndimage",), "scipy.ndimage._ni_label")
+KERNELS_OF = {"wasserstein-2": [_LSAP], "loss": [_LSAP], "wasserstein-inf": [_MATCHING],
+              "metrics": [_MATCHING, _LABEL]}
 
 
-@pytest.mark.parametrize("command", KERNEL_OF)
+@pytest.mark.parametrize("command", KERNELS_OF)
 def test_matching_kernels_load_without_their_packages(tmp_path, command):
-    """Each subcommand loads its scipy kernel module, never the package that exports it."""
-    packages, kernel = KERNEL_OF[command]
+    """Each subcommand loads its scipy kernel modules, never the packages that export them."""
+    kernels = KERNELS_OF[command]
     argv = _subcommand_argv(tmp_path, command)
     line = _run_fresh(tmp_path, f"""
         import json
         import topokit.cli
         code = topokit.cli.main({argv!r})
-        loaded = sorted(m for m in sys.modules if m.startswith({packages!r}))
+        loaded = [sorted(m for m in sys.modules if m.startswith(packages))
+                  for packages, _ in {kernels!r}]
         print(json.dumps([code, loaded]))
     """)
-    assert json.loads(line) == [0, [kernel]]
+    assert json.loads(line) == [0, [[kernel] for _, kernel in kernels]]
 
 
 @pytest.mark.parametrize("public_first", [False, True])
 def test_kernel_functions_are_the_public_ones(tmp_path, public_first):
-    public = "import scipy.optimize, scipy.sparse.csgraph"
+    public = "import scipy.optimize, scipy.sparse.csgraph, scipy.ndimage._measurements"
     line = _run_fresh(tmp_path, f"""
         {public if public_first else ""}
-        from topokit.matching import _scipy_extension
+        from topokit.grid import _scipy_extension
         lsap = _scipy_extension("scipy.optimize", "_lsap")
         matching = _scipy_extension("scipy.sparse.csgraph", "_matching")
+        label = _scipy_extension("scipy.ndimage", "_ni_label")
         {"" if public_first else public}
         csgraph = scipy.sparse.csgraph
         print(lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment,
-              matching.maximum_bipartite_matching is csgraph.maximum_bipartite_matching)
+              matching.maximum_bipartite_matching is csgraph.maximum_bipartite_matching,
+              label is scipy.ndimage._measurements._ni_label)  # what ndimage.label calls
     """)
-    assert line == "True True"
+    assert line == "True True True"
 
 
 def test_kernel_falls_back_to_the_public_module(tmp_path):
-    """With no extension module found by file, the public import serves the same matching."""
+    """With no extension module found by file, the public import serves the same results."""
     left, right = _diagram_files(tmp_path)
+    mask = np.random.default_rng(18).random((40, 50)) < 0.5
+    np.save(tmp_path / "mask.npy", mask)
     line = _run_fresh(tmp_path, f"""
         import importlib.machinery
         import json
-        from topokit import load_diagram_csv, match_diagrams
+        import numpy as np
+        from topokit import label_components, load_diagram_csv, match_diagrams
 
         find_spec = importlib.machinery.PathFinder.find_spec
 
         def no_extension(name, path=None, target=None):  # the import system asks by dotted name
-            return None if name in ("_lsap", "_matching") else find_spec(name, path, target)
+            if name in ("_lsap", "_matching", "_ni_label"):
+                return None
+            return find_spec(name, path, target)
         importlib.machinery.PathFinder.find_spec = no_extension
         left, right = load_diagram_csv({left!r}), load_diagram_csv({right!r})
         results = [match_diagrams(left, right, p) for p in (2.0, float("inf"))]
+        labeling = label_components(np.load("mask.npy"), 8)
         print(json.dumps([[r.pairs.tolist(), r.cost] for r in results]
-                         + [sorted(m for m in ("scipy.optimize", "scipy.sparse.csgraph")
-                                   if m in sys.modules)]))
+                         + [[labeling.labels.tolist(), labeling.count]]
+                         + [sorted(m for m in ("scipy.optimize", "scipy.sparse.csgraph",
+                                               "scipy.ndimage") if m in sys.modules)]))
     """)
     left, right = load_diagram_csv(left), load_diagram_csv(right)
     expected = [[r.pairs.tolist(), r.cost] for r in (match_diagrams(left, right, p)
                                                      for p in (2.0, float("inf")))]
-    assert json.loads(line) == expected + [["scipy.optimize", "scipy.sparse.csgraph"]]
+    labeling = topokit.label_components(mask, 8)
+    expected.append([labeling.labels.tolist(), labeling.count])
+    assert json.loads(line) == expected + [["scipy.ndimage", "scipy.optimize",
+                                            "scipy.sparse.csgraph"]]
