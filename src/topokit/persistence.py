@@ -11,7 +11,7 @@ and no value is compared after the sort. The one component that never dies
 is reported as the essential dot with death pinned at 1.0.
 
 The kernel contracts basins first (the gradient pairing of Robins, Wood &
-Sheppard, IEEE TPAMI 2011), all in numpy:
+Sheppard, IEEE TPAMI 2011), then merges them:
 
 - Basins. Every pixel points at its lowest-ranked lower neighbour, a local
   minimum at itself, and pointer jumping (p = p[p]) resolves each pointer
@@ -22,13 +22,22 @@ Sheppard, IEEE TPAMI 2011), all in numpy:
 - Deduped edges. Those edges are keyed by (pixel rank, offset index). Of all
   edges between the same two basins only the first in key order is kept:
   every later one joins components that are already one.
-- The walk. A Python union-find over basin numbers takes the kept edges in
-  key order; each that joins two components kills the younger one. A pixel
-  with two or more kept edges (a possible multi-kill) instead scans the
-  basins of all its lower neighbours in offset order (up, down, left, right,
-  then the four diagonals for 8-connectivity), as a pixel-by-pixel
-  union-find would, so the dots killed at one pixel are emitted in the order
-  that scan meets their roots.
+- The merge. numpy contracts the kept edges in rounds, after the leaf
+  pruning of Carr, Weber, Sewell & Ahrens (IEEE LDAV 2016). A node is a
+  basin number that stands for its group, and an edge's key is its place in
+  key order. Each node takes its lowest-key edge; a node whose edge leads to
+  an older node dies there, since its group has met nothing before. Dying
+  nodes join their targets and the edges are relabelled. That edge is also
+  an edge of the target, so a target dying in the same round dies at an
+  earlier key and one round can join them all exactly. A round that kills
+  under a quarter of the nodes with edges ends the rounds, and a pairwise
+  union-find takes the edges left in key order: a chain whose minima rise
+  while its saddles fall would take a round per basin.
+- Emission order. Deaths come out in key order. The dots one pixel kills
+  come out in the order its scan of its lower neighbours (up, down, left,
+  right, then the four diagonals for 8-connectivity) meets their roots, as a
+  pixel-by-pixel union-find would; binary lifting over the merge's pointers
+  finds those roots.
 
 Neighbours are read through a frame: the grid plus a one-cell border that
 ranks after every pixel and lies in no basin, so no bounds are checked. Dot
@@ -144,7 +153,6 @@ _RECENT_SIZE = 2
 
 # Neighbour offsets (row, column): up, down, left, right, then the four diagonals.
 _SHIFTS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
-_CHUNK = 1 << 14  # elements per tolist() call, so no list spans a whole large grid
 
 
 def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
@@ -269,63 +277,95 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
     del pair, by_pair
     first.sort()
     r, b = r[first], b[first]
+    del first
 
-    # A pixel with two or more kept edges may kill several components at once, in the
-    # order its neighbour scan meets their roots: it is marked a = -1 and scans the
-    # basins of all its lower neighbours, in offset order.
-    start = _run_starts(r)
-    multi = np.diff(start, append=r.size) > 1
-    r, b = r[start], b[start]
+    # The merge (module docstring): an edge's key is its index. Pointer jumping leads each
+    # dying node to its first ancestor that is not dying, so every edge is relabelled to
+    # live nodes.
+    count, size = minima.size, r.size
+    into = np.arange(count)  # a dead node -> a node of its component from its death on
+    dies = np.full(count, size)  # the key of the edge each node dies at; size: never
     a = basin[r]
-    a[multi] = -1
-    mr = r[multi]
-    cell = order[mr]
-    cell += 2 * (cell // w) + w + 3  # row-major index in the framed arrays
-    scan = np.empty((mr.size, connectivity), np.int32)
-    for j, (dr, dc) in enumerate(shifts):
-        q = cell + dr * (w + 2) + dc
-        scan[:, j] = np.where(frank.ravel()[q] < mr, fbasin.ravel()[q], -1)
-    scans = (row for i in range(0, mr.size, _CHUNK) for row in scan[i:i + _CHUNK].tolist())
+    edges = np.empty((3, size), np.intp)
+    np.minimum(a, b, out=edges[0])
+    np.maximum(a, b, out=edges[1])
+    edges[2] = np.arange(size)
+    del a, b
+    while edges.shape[1]:  # rows u < v and key: an edge can only kill its younger end v
+        u, v, key = edges[0], edges[1], edges[2]
+        least = np.full(count, size)  # each node's lowest key
+        np.minimum.at(least, u, key)
+        np.minimum.at(least, v, key)
+        dying = least[v] == key
+        if 4 * np.count_nonzero(dying) < np.count_nonzero(least < size):
+            break
+        x, y, k = edges.compress(dying, axis=1)
+        dies[y], into[y] = k, x
+        while np.count_nonzero((z := into[x]) != x):  # pointer jumping
+            into[y] = x = z
+        a, b = into[u], into[v]
+        np.minimum(a, b, out=u)
+        np.maximum(a, b, out=v)
+        edges = edges.compress(u != v, axis=1)
+    if edges.shape[1]:
+        dying, elders, keys = _union_find(edges, into)
+        dies[dying], into[dying] = keys, elders
+    del edges
 
-    parent = list(range(minima.size))
-    dying: list[int] = []  # basin number of each killed component's root
-    death: list[int] = []  # rank of the pixel that killed it
-    for i in range(0, r.size, _CHUNK):
-        for rk, x, y in zip(r[i:i + _CHUNK].tolist(), a[i:i + _CHUNK].tolist(),
-                            b[i:i + _CHUNK].tolist()):
-            if x < 0:
-                roots = []
-                for q in next(scans):
-                    if q >= 0:
-                        while parent[q] != q:  # find with path halving
-                            parent[q] = parent[parent[q]]
-                            q = parent[q]
-                        if q not in roots:
-                            roots.append(q)
-                elder = min(roots)
-                for q in roots:
-                    if q != elder:
-                        parent[q] = elder
-                        dying.append(q)
-                        death.append(rk)
-                continue
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                if x > y:
-                    x, y = y, x
-                parent[y] = x
-                dying.append(y)
-                death.append(rk)
+    # Deaths come out in key order, by a scatter over the edge index. The dots one pixel
+    # kills are reordered as its scan meets their roots. A basin's root just before rank
+    # r is its first ancestor by into still alive at r, found by binary lifting: levels
+    # of the ancestor 2^k steps up and the last rank any node on the way dies at.
+    slot = np.full(size + 1, -1)
+    slot[dies] = np.arange(count)
+    killed = slot[:-1][slot[:-1] >= 0]
+    death = r[dies[killed]]
+    multi = np.bincount(death)[death] > 1
+    if multi.any():
+        mr, q = death[multi, None], killed[multi]
+        cell = order[mr]
+        cell += 2 * (cell // w) + w + 3  # row-major index in the framed arrays
+        near = cell + [dr * (w + 2) + dc for dr, dc in shifts]
+        root = np.where(frank.ravel()[near] < mr, fbasin.ravel()[near], 0)  # basin 0 never dies
+        up, last = into, np.full(count, n)
+        last[killed] = death
+        levels = [(up, last)]
+        while np.count_nonzero((jump := up[up]) != up):
+            last = np.maximum(last, last[up])
+            up = jump
+            levels.append((up, last))
+        for up, last in reversed(levels):
+            root = np.where(last[root] < mr, up[root], root)
+        met = (root == q[:, None]).argmax(axis=1)
+        killed[multi] = q[np.lexsort((met, mr[:, 0]))]
 
-    killed = np.array(dying, dtype=np.int64)
-    roots = np.flatnonzero(np.bincount(killed, minlength=minima.size) == 0)  # one per component
-    death_px = np.append(order[np.array(death, dtype=np.int64)], np.full(roots.size, -1))
+    roots = np.flatnonzero(dies == size)  # one per component, in basin order
+    death_px = np.append(order[death], np.full(roots.size, -1))
     return order[minima[np.concatenate((killed, roots))]], death_px
+
+
+def _union_find(edges: np.ndarray, into: np.ndarray) -> tuple[list, list, list]:
+    """Nodes a pairwise union-find kills over the edges (rows u, v, key) in key order.
+
+    The elder of two nodes is the smaller. Returns the killed nodes, the node each one
+    joined and the key each one died at.
+    """
+    parent, dying, elders, keys = into.tolist(), [], [], []
+    for x, y, k in zip(*edges.tolist()):
+        while parent[x] != x:  # find with path halving
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            dying.append(y)
+            elders.append(x)
+            keys.append(k)
+    return dying, elders, keys
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
 from topokit.matching import _augmented, _pairs_from_assignment
-from topokit.persistence import DIAGRAM_CSV_HEADER, PersistenceDiagram, PersistentDot
+from topokit.persistence import _SHIFTS, DIAGRAM_CSV_HEADER, PersistenceDiagram, PersistentDot, _run_starts
 
 ORACLE_PIXEL_LIMIT = 400
+_CHUNK = 1 << 14  # elements per tolist() call in walk_pair
 
 
 def random_distinct_grid(rng, height: int, width: int,
@@ -124,6 +125,150 @@ def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> Pers
     ess_px = order[0]  # global minimum under the tie-broken order never dies
     dots.append(PersistentDot(flat_l[ess_px], 0.0 if direction == SUPERLEVEL else 1.0, ess_px))
     return diagram_from_dots(dots)
+
+
+def walk_pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order oracle for persistence._pair at sizes loop_diagram cannot reach: the same
+    arguments and result, from the same basins and deduped edges walked by a Python
+    union-find.
+
+    Birth and death pixels of every dot in emission order, the essential dots last.
+    order lists the inserted cells of an h x w grid; the others rank after them and lie
+    in no basin, like the border. Each component leaves an essential dot, death pixel
+    -1, in basin order. Basins are numbered in their minima's rank order, so the elder
+    of two components is the one whose root has the smaller number.
+    """
+    n = order.size
+    rank = np.full(h * w, n, np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    rank = rank.reshape(h, w)
+    shifts = _SHIFTS[:connectivity]
+    frank = np.full((h + 2, w + 2), n, np.int32)  # the border ranks after every pixel
+    frank[1:-1, 1:-1] = rank
+
+    def around(framed, dr, dc):  # each pixel's neighbour at (dr, dc), as an h x w view
+        return framed[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+
+    # Steepest descent: every rank points at its lowest-ranked lower neighbour, or at
+    # itself at a minimum; pointer jumping then leads each rank to its basin's minimum.
+    low = rank.copy()
+    for dr, dc in shifts:
+        np.minimum(low, around(frank, dr, dc), out=low)
+    ptr = low.ravel()[order]
+    is_min = ptr == np.arange(n, dtype=np.int32)
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    minima = np.flatnonzero(is_min)
+    number = np.cumsum(is_min, dtype=np.int32) - 1
+    basin = np.full(n + 1, -1, np.int32)  # rank -> basin number; rank n (not inserted) -> -1
+    np.take(number, ptr, out=basin[:n])
+    del low, is_min, nxt, ptr, number
+    fbasin = np.full((h + 2, w + 2), -1, np.int32)  # the border is in no basin
+    own = fbasin[1:-1, 1:-1]
+    own[...] = basin[rank]
+
+    # Every (pixel, lower neighbour in another basin) edge, keyed rank * connectivity
+    # + offset index. Of the edges between two basins only the first in key order can
+    # merge components: the later ones join components that are already one.
+    foreign = np.empty((n, connectivity), np.int32)  # rows in rank order, -1: no edge
+    for j, (dr, dc) in enumerate(shifts):
+        nb = around(fbasin, dr, dc)
+        foreign[:, j] = np.where((around(frank, dr, dc) < rank) & (nb != own), nb, -1).ravel()[order]
+    is_edge = foreign >= 0
+    b = foreign[is_edge]  # row-major: in key order
+    r = np.repeat(np.arange(n, dtype=np.int32), is_edge.sum(axis=1, dtype=np.int32))
+    del foreign, is_edge
+    a = basin[r]
+    pair = np.minimum(a, b).astype(np.int64)
+    pair *= minima.size
+    pair += np.maximum(a, b)
+    del a
+    by_pair = np.argsort(pair)
+    first = np.minimum.reduceat(by_pair, _run_starts(pair[by_pair]))
+    del pair, by_pair
+    first.sort()
+    r, b = r[first], b[first]
+
+    # A pixel with two or more kept edges may kill several components at once, in the
+    # order its neighbour scan meets their roots: it is marked a = -1 and scans the
+    # basins of all its lower neighbours, in offset order.
+    start = _run_starts(r)
+    multi = np.diff(start, append=r.size) > 1
+    r, b = r[start], b[start]
+    a = basin[r]
+    a[multi] = -1
+    mr = r[multi]
+    cell = order[mr]
+    cell += 2 * (cell // w) + w + 3  # row-major index in the framed arrays
+    scan = np.empty((mr.size, connectivity), np.int32)
+    for j, (dr, dc) in enumerate(shifts):
+        q = cell + dr * (w + 2) + dc
+        scan[:, j] = np.where(frank.ravel()[q] < mr, fbasin.ravel()[q], -1)
+    scans = (row for i in range(0, mr.size, _CHUNK) for row in scan[i:i + _CHUNK].tolist())
+
+    parent = list(range(minima.size))
+    dying: list[int] = []  # basin number of each killed component's root
+    death: list[int] = []  # rank of the pixel that killed it
+    for i in range(0, r.size, _CHUNK):
+        for rk, x, y in zip(r[i:i + _CHUNK].tolist(), a[i:i + _CHUNK].tolist(),
+                            b[i:i + _CHUNK].tolist()):
+            if x < 0:
+                roots = []
+                for q in next(scans):
+                    if q >= 0:
+                        while parent[q] != q:  # find with path halving
+                            parent[q] = parent[parent[q]]
+                            q = parent[q]
+                        if q not in roots:
+                            roots.append(q)
+                elder = min(roots)
+                for q in roots:
+                    if q != elder:
+                        parent[q] = elder
+                        dying.append(q)
+                        death.append(rk)
+                continue
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                dying.append(y)
+                death.append(rk)
+
+    killed = np.array(dying, dtype=np.int64)
+    roots = np.flatnonzero(np.bincount(killed, minlength=minima.size) == 0)  # one per component
+    death_px = np.append(order[np.array(death, dtype=np.int64)], np.full(roots.size, -1))
+    return order[minima[np.concatenate((killed, roots))]], death_px
+
+def chain_grid(n: int) -> np.ndarray:
+    """n x n snake corridor between walls of 1.0 whose minima rise while its saddles fall.
+
+    The corridor runs along the even rows, turning down through the odd row between
+    them at alternate ends, and alternates minima and saddles. Each basin touches only
+    the next one, through a saddle that falls along the corridor, so the basins die
+    one at a time from the far end, a chain as long as the grid has basins.
+    """
+    grid = np.ones((n, n))
+    path = []
+    for row in range(0, n, 2):
+        cols = range(n) if row % 4 == 0 else range(n - 1, -1, -1)
+        path += [(row, c) for c in cols]
+        if row + 2 < n:
+            path.append((row + 1, n - 1 if row % 4 == 0 else 0))
+    values = np.empty(len(path))
+    values[0::2] = np.linspace(0.05, 0.45, values[0::2].size)
+    values[1::2] = np.linspace(0.95, 0.55, values[1::2].size)
+    grid[tuple(zip(*path))] = values
+    return grid
 
 
 def diagram_from_dots(dots) -> PersistenceDiagram:

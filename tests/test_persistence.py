@@ -5,6 +5,7 @@ import hashlib
 import io
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from topokit import persistence
 from topokit.losses import NOISE_DIAGONAL, finite_difference_check
@@ -39,11 +41,13 @@ from topokit.persistence import (
 
 from _support import (
     ORACLE_PIXEL_LIMIT,
+    chain_grid,
     diagram_from_dots,
     loop_diagram,
     oracle_diagram,
     random_distinct_grid,
     reference_diagram_csv,
+    walk_pair,
 )
 
 
@@ -306,8 +310,10 @@ class TestLoopReference:
 
     def test_peak_memory_on_random_512(self):
         # The pixel-by-pixel loop peaked at 29.7 MiB here (Python lists of the argsort,
-        # the values and a parent and birth slot per framed cell); the basin kernel at
-        # 23.3 MiB, of which the returned 52,714 dots hold about 14.
+        # the values and a parent and birth slot per framed cell). The basin kernel peaks
+        # at 19.0 MiB with its numpy merge (19.2 with the Python walk it replaced): its
+        # basin and edge build alone reaches about 17.5, and the 52,714 dots it returns
+        # hold 1.6.
         grid = np.random.default_rng(0).random((512, 512))
         tracemalloc.start()
         try:
@@ -316,6 +322,106 @@ class TestLoopReference:
         finally:
             tracemalloc.stop()
         assert peak <= 26 * 2**20
+
+
+def _stacked(grids, direction):
+    """The arguments _diagrams gives _pair for grids of one shape, a separator row below each but the last."""
+    h, w = grids[0].shape
+    orders = [np.argsort(-g.ravel() if direction == SUPERLEVEL else g.ravel(), kind="stable")
+              for g in grids]
+    stacked = np.concatenate([order + i * (h + 1) * w for i, order in enumerate(orders)])
+    return stacked, len(grids) * (h + 1) - 1, w
+
+
+def _bench_grid(name):
+    """The kinds of grid the cli-grids benchmark pairs: uniform noise, blurred noise at 16
+    and 8 bits, 8 levels, and a sin-cos wave."""
+    rng = np.random.default_rng(1)
+    n = int(name.rsplit("-", 1)[1])
+    if name.startswith("random"):
+        return rng.random((n, n))
+    if name.startswith("level8"):
+        return rng.integers(0, 8, (n, n)) / 7
+    if name.startswith("sincos"):
+        y, x = np.mgrid[:n, :n]
+        return np.sin(y / 37) * np.cos(x / 29) * 0.5 + 0.5
+    blurred = ndimage.gaussian_filter(rng.random((n, n)), sigma=n / 16, mode="wrap")
+    levels = 255 if name.startswith("bit8") else 65535
+    return np.rint((blurred - blurred.min()) / np.ptp(blurred) * levels) / levels
+
+
+def _settled(grid, direction, connectivity):
+    """compute_diagram, and how many dots at multi-kill pixels the rounds killed and how
+    many the union-find after them killed."""
+    found, union_find = [], persistence._union_find
+
+    def spy(edges, into):
+        result = union_find(edges, into)
+        found.extend(result[0])
+        return result
+
+    persistence._recent.clear()
+    with mock.patch.object(persistence, "_union_find", spy):
+        diagram = compute_diagram(grid, direction, connectivity)
+    flat = -grid.ravel() if direction == SUPERLEVEL else grid.ravel()
+    rank = np.argsort(np.argsort(flat, kind="stable"))
+    basin = np.argsort(np.argsort(rank[diagram.birth_px]))  # basins go in their minima's rank order
+    shared = np.unique(diagram.death_px[:-1], return_counts=True)
+    multi = np.isin(diagram.death_px, shared[0][shared[1] > 1])
+    by_union_find = np.isin(basin, found)
+    return diagram, np.count_nonzero(multi & ~by_union_find), np.count_nonzero(multi & by_union_find)
+
+
+class TestMerge:
+    """The numpy merge in _pair against the Python walk it replaced, and on chain grids."""
+
+    @pytest.mark.parametrize("name, connectivity", [
+        ("random-1024", 4), ("random-1024", 8), ("smooth-1024", 4), ("bit8-256", 4),
+        ("random-256", 4), ("level8-512", 8), ("sincos-1024", 4)])
+    def test_bench_shaped_grids_equal_the_walk_in_order(self, name, connectivity):
+        grid = _bench_grid(name)
+        args = np.argsort(grid.ravel(), kind="stable"), *grid.shape, connectivity
+        for got, want in zip(persistence._pair(*args), walk_pair(*args)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_stacked_batches_equal_the_walk_in_order(self, batch, connectivity, direction):
+        rng = np.random.default_rng(batch)
+        grids = [rng.random((96, 80)), rng.integers(0, 4, (96, 80)) / 3, chain_grid(96)[:, :80]]
+        args = *_stacked(grids[:batch], direction), connectivity
+        for got, want in zip(persistence._pair(*args), walk_pair(*args)):
+            assert np.array_equal(got, want)
+
+    def test_chain_grids_equal_the_loop_in_order(self):
+        # Chains stall the rounds at once and leave their edges to the union-find; random
+        # pixels put multi-kill pixels on both sides.
+        reached = {"rounds": 0, "union-find": 0}
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(st.integers(2, 16), st.sampled_from([0.0, 0.1, 0.3]),
+               st.sampled_from([SUBLEVEL, SUPERLEVEL]), st.sampled_from([4, 8]),
+               st.integers(0, 2**32 - 1))
+        def check(n, share, direction, connectivity, seed):
+            rng = np.random.default_rng(seed)
+            grid = np.where(rng.random((n, n)) < share, rng.random((n, n)), chain_grid(n))
+            got, by_rounds, by_union_find = _settled(grid, direction, connectivity)
+            assert got.dots == loop_diagram(grid, direction, connectivity).dots
+            reached["rounds"] += by_rounds > 0
+            reached["union-find"] += by_union_find > 0
+
+        check()
+        assert reached["rounds"] > 0 and reached["union-find"] > 0, reached
+
+    def test_chain_512_in_bounded_time(self):
+        # Rounds alone settle one basin of this chain each, a number of rounds that grows
+        # with the pixels, each over every edge left; the union-find takes it in one pass.
+        grid = chain_grid(512)
+        start = time.perf_counter()
+        diagram = compute_diagram(grid)
+        assert time.perf_counter() - start < 10.0
+        assert len(diagram) == 65_664  # one dot per corridor minimum
 
 
 class TestRecentPairings:
