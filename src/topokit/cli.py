@@ -194,7 +194,10 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _add_grid_io_flags(sub: argparse.ArgumentParser) -> None:
+def _add_grid_io_flags(sub: argparse.ArgumentParser, pair: bool = False) -> None:
+    if pair:  # loss and grad-check
+        sub.add_argument("--student", required=True)
+        sub.add_argument("--teacher", required=True)
     sub.add_argument("--format", choices=("pgm", "csv"), default=None,
                      help="input grid format (default: inferred from extension)")
     sub.add_argument("--direction", choices=DIRECTIONS, default=SUBLEVEL,
@@ -207,8 +210,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="topokit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
+    phi_flag = {"type": strict_float, "default": DEFAULT_PHI,
+                "help": "persistence threshold (default: %(default)s)"}
+    noise_mode_flag = {"choices": NOISE_MODES, "default": NOISE_SQUARED,
+                       "help": "noise-removal variant (default: %(default)s)"}
 
-    pd = subs.add_parser("pd", parents=[], help="persistence diagram of a grid")
+    pd = subs.add_parser("pd", help="persistence diagram of a grid")
     pd.add_argument("grid", help="likelihood grid (PGM or CSV)")
     _add_grid_io_flags(pd)
     pd.add_argument("-o", "--output", default=None,
@@ -218,8 +225,7 @@ def build_parser() -> _Parser:
     dec = subs.add_parser("decompose", help="split a diagram into signal and noise")
     dec.add_argument("grid")
     _add_grid_io_flags(dec)
-    dec.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
-                     help="persistence threshold (default: %(default)s)")
+    dec.add_argument("--phi", **phi_flag)
     dec.add_argument("--signal-out", required=True, help="signal diagram CSV path")
     dec.add_argument("--noise-out", required=True, help="noise diagram CSV path")
     dec.set_defaults(func=_cmd_decompose)
@@ -233,23 +239,16 @@ def build_parser() -> _Parser:
     was.set_defaults(func=_cmd_wasserstein)
 
     loss = subs.add_parser("loss", help="topological losses between student and teacher grids")
-    loss.add_argument("--student", required=True)
-    loss.add_argument("--teacher", required=True)
-    _add_grid_io_flags(loss)
-    loss.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
-                      help="persistence threshold (default: %(default)s)")
-    loss.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED,
-                      help="noise-removal variant (default: %(default)s)")
+    _add_grid_io_flags(loss, pair=True)
+    loss.add_argument("--phi", **phi_flag)
+    loss.add_argument("--noise-mode", **noise_mode_flag)
     loss.add_argument("--grad-out", default=None, help="write the gradient grid as CSV")
     loss.set_defaults(func=_cmd_loss)
 
     gc = subs.add_parser("grad-check", help="finite-difference check of the topological gradient")
-    gc.add_argument("--student", required=True)
-    gc.add_argument("--teacher", required=True)
-    _add_grid_io_flags(gc)
-    gc.add_argument("--phi", type=strict_float, default=DEFAULT_PHI,
-                    help="persistence threshold (default: %(default)s)")
-    gc.add_argument("--noise-mode", choices=NOISE_MODES, default=NOISE_SQUARED)
+    _add_grid_io_flags(gc, pair=True)
+    gc.add_argument("--phi", **phi_flag)
+    gc.add_argument("--noise-mode", **noise_mode_flag)
     gc.add_argument("--h", type=strict_float, default=1e-5,
                     help="central-difference step (default: %(default)s)")
     gc.add_argument("--tolerance", type=strict_float, default=1e-3,
@@ -276,15 +275,14 @@ def build_parser() -> _Parser:
                       help="learning rate (default: %(default)s)")
     demo.add_argument("--alpha", type=strict_float, dest="ema_decay", metavar="ALPHA",
                       help="teacher EMA decay (default: %(default)s)")
-    demo.add_argument("--phi", type=strict_float,
-                      help="persistence threshold (default: %(default)s)")
+    demo.add_argument("--phi", **phi_flag)
     demo.add_argument("--lambda-u2", type=strict_float,
                       help="topological loss weight (default: %(default)s)")
     demo.add_argument("--ramp-k", type=strict_float,
                       help="pixel consistency ramp-up ceiling (default: %(default)s)")
     demo.add_argument("--sigma", type=strict_float, dest="strong_noise_sigma", metavar="SIGMA",
                       help="strong-view logit noise std (default: %(default)s)")
-    demo.add_argument("--noise-mode", choices=NOISE_MODES)
+    demo.add_argument("--noise-mode", **noise_mode_flag)
     demo.add_argument("--seed", type=strict_int, help="default: %(default)s")
     demo.add_argument("--topo-on-perturbed", action="store_true",
                       help="feed the strong view (not the clean one) to the topological loss")

@@ -107,9 +107,9 @@ def as_likelihood(values) -> np.ndarray:
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError(f"likelihood grid must be a nonempty 2D array, got shape {grid.shape}")
     flat = grid.ravel()
-    bad = np.flatnonzero(~np.isfinite(flat) | (flat < 0.0) | (flat > 1.0))
-    if bad.size:
-        i = int(bad[0])
+    inside = (flat >= 0.0) & (flat <= 1.0)  # NaN fails both comparisons
+    if not inside.all():
+        i = int(inside.argmin())  # the first pixel outside
         raise GridFormatError(f"value {float(flat[i])!r} at pixel {i} is outside [0, 1]")
     return grid
 

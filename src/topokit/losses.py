@@ -30,7 +30,7 @@ import numpy as np
 from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose
 from .grid import SUBLEVEL, as_likelihood, as_mask
 from .matching import DIAGONAL, DiagramMatching, match_diagrams
-from .persistence import _diagrams
+from .persistence import compute_diagrams
 
 CE_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -94,12 +94,10 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
                            direction: str = SUBLEVEL, connectivity: int = 4,
                            noise_mode: str = NOISE_SQUARED):
     """One shared pass returning (TopoLossReport, gradient grid)."""
-    s = as_likelihood(student)
-    t = as_likelihood(teacher)
-    _check_same_shape(s, t)
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
-    dec_s, dec_t = (decompose(d, phi) for d in _diagrams([s, t], direction, connectivity))
+    diagrams = compute_diagrams((student, teacher), direction, connectivity)
+    dec_s, dec_t = (decompose(d, phi) for d in diagrams)
     matching = match_diagrams(dec_s.signal, dec_t.signal, p=2.0)
     signal, noise, teacher_signal = dec_s.signal, dec_s.noise, dec_t.signal
 
@@ -123,11 +121,11 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
 
     # Birth pixels are distinct minima and no death pixel is one, so adding births first and
     # deaths after meets each pixel's contributions in dot order, signal before noise.
-    grad = np.zeros(s.size + 1)
+    grad = np.zeros(np.size(student) + 1)
     pixels = (signal.birth_px, signal.death_px, noise.birth_px, noise.death_px)
     np.add.at(grad, np.concatenate(pixels), steps)
     report = TopoLossReport(cons, rem, cons + rem, matching, dec_s, dec_t)
-    return report, grad[:-1].reshape(s.shape)
+    return report, grad[:-1].reshape(np.shape(student))
 
 
 def _sum_in_order(*columns: np.ndarray) -> float:

@@ -52,15 +52,17 @@ A diagram is four read-only numpy columns, one row per dot: birth and death
 (float64), birth_px and death_px (int64), with death_px -1 for the essential
 dot. Its dots property is a derived view that builds PersistentDot objects.
 
-compute_diagrams pairs grids of one shape in one kernel call, stacked with a
-never-inserted separator row between them that ranks and lies like the border.
-Ranks are grid-major and the elder rule compares ranks only within a component,
-so each grid gets the dots, order and essential dot of a call on it alone. The
-stable argsort (an ndarray) and birth/death pixels of the two most recent
-pairings are remembered, and a grid with the same shape, connectivity and
-argsort reuses those pixels. Grids are looked up in turn: one whose argsort
-equals an earlier miss of its batch (a teacher equal to its student) reuses
-that pending pairing, and the memory ends as after one call per grid.
+compute_diagrams, which compute_diagram calls on one grid, is the one path to the
+kernel. It passes each grid through as_likelihood once, checks the direction, the
+connectivity and the shapes, and pairs the grids in one kernel call, stacked with
+a never-inserted separator row between them that ranks and lies like the border.
+Ranks are grid-major and the elder rule compares ranks only within a component, so
+each grid gets the dots, order and essential dot of a call on it alone. The stable
+argsort (an ndarray) and birth/death pixels of the two most recent pairings are
+remembered, and a grid with the same shape, connectivity and argsort reuses those
+pixels. Grids are looked up in turn: one whose argsort equals an earlier miss of
+its batch (a teacher equal to its student) reuses that pending pairing, and the
+memory ends as after one call per grid.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
 splits its rows, and reads each cell with grid.strict_float or grid.strict_int
@@ -148,7 +150,7 @@ class PersistenceDiagram:
 # because topo_loss_and_gradient computes two diagrams per call, student and teacher.
 # Entries are never changed and the list is replaced whole, so a concurrent caller
 # can at worst drop an entry, never read a mixed one.
-_recent: list[tuple[tuple[int, int, int], np.ndarray, tuple[np.ndarray, np.ndarray]]] = []
+_recent: list[tuple[tuple[int, int, int], np.ndarray, list[np.ndarray]]] = []
 _RECENT_SIZE = 2
 
 # Neighbour offsets (row, column): up, down, left, right, then the four diagonals.
@@ -169,11 +171,7 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
 def compute_diagrams(grids, direction: str = SUBLEVEL,
                      connectivity: int = 4) -> list[PersistenceDiagram]:
     """compute_diagram of each grid, all of one shape, from at most one kernel call."""
-    return _diagrams([as_likelihood(grid) for grid in grids], direction, connectivity)
-
-
-def _diagrams(grids, direction: str, connectivity: int) -> list[PersistenceDiagram]:
-    """compute_diagrams of grids that already passed as_likelihood."""
+    grids = [as_likelihood(grid) for grid in grids]
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if connectivity not in (4, 8):
@@ -183,7 +181,7 @@ def _diagrams(grids, direction: str, connectivity: int) -> list[PersistenceDiagr
         if grid.shape != (h, w):
             raise ValueError(f"shape mismatch: {(h, w)} vs {grid.shape}")
     flats, key, recent = [grid.ravel() for grid in grids], (h, w, connectivity), list(_recent)
-    found, missed = [], []  # per grid its pixels or its index into missed: orders, then pixels
+    found, missed = [], []  # per grid its pixels; per miss its order and the slot _pair fills
     for flat in flats:
         order = np.argsort(-flat if direction == SUPERLEVEL else flat, kind="stable")
         for i, entry in enumerate(recent):
@@ -191,25 +189,24 @@ def _diagrams(grids, direction: str, connectivity: int) -> list[PersistenceDiagr
                 pixels = recent.pop(i)[2]
                 break
         else:
-            pixels = len(missed)
-            missed.append(order)
+            pixels = []
+            missed.append((order, pixels))
         found.append(pixels)
         recent = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
     if missed:  # one kernel call over the misses, a separator row below each but the last
         stride = (h + 1) * w
-        stacked = missed[0] if len(missed) == 1 else np.concatenate(
-            [order + g * stride for g, order in enumerate(missed)])
+        stacked = missed[0][0] if len(missed) == 1 else np.concatenate(
+            [order + g * stride for g, (order, _) in enumerate(missed)])
         birth_px, death_px = _pair(stacked, len(missed) * (h + 1) - 1, w, connectivity)
-        by_grid = np.argsort(birth_px // stride, kind="stable")  # each grid's essential dot last
-        offset = birth_px[by_grid] // stride * stride
-        cuts = np.searchsorted(offset, np.arange(1, len(missed)) * stride)
-        death_px = np.maximum(death_px[by_grid] - offset, -1)  # an essential -1 stays -1
-        missed = list(zip(np.split(birth_px[by_grid] - offset, cuts), np.split(death_px, cuts)))
+        finite = death_px.size - len(missed)  # finite dots grid by grid, then the essential dots
+        cuts = np.searchsorted(death_px[:finite] // stride, np.arange(len(missed) + 1))
+        for g, (_, slot) in enumerate(missed):
+            dots = np.r_[cuts[g]:cuts[g + 1], finite + g]
+            slot[:] = birth_px[dots] - g * stride, np.append(death_px[dots[:-1]] - g * stride, -1)
 
-    _recent[:] = [(k, o, missed[p] if isinstance(p, int) else p) for k, o, p in recent]
+    _recent[:] = recent
     diagrams = []
     for flat, pixels in zip(flats, found):
-        pixels = missed[pixels] if isinstance(pixels, int) else pixels
         death = flat[pixels[1]]  # the essential dot's -1 reads the last pixel, overwritten next
         death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
         diagrams.append(PersistenceDiagram(flat[pixels[0]], death, *pixels))
@@ -222,7 +219,9 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
     order lists the inserted cells of an h x w grid; the others rank after them and lie
     in no basin, like the border. Each component leaves an essential dot, death pixel
     -1, in basin order. Basins are numbered in their minima's rank order, so the elder
-    of two components is the one whose root has the smaller number.
+    of two components is the one whose root has the smaller number. Ranks and basins of
+    stacked grids are grid-major: their finite dots come out grid by grid, then one
+    essential dot per grid.
     """
     n = order.size
     rank = np.full(h * w, n, np.int32)

@@ -46,10 +46,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="pixel 0"):
             as_likelihood([[-0.1, 0.2]])
 
-    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (1.5, "1.5")])
-    def test_message_shows_the_value_as_a_float(self, value, shown):
+    @pytest.mark.parametrize("row, shown", [
+        ([0.5, np.nan], "nan"), ([0.5, np.inf], "inf"), ([0.5, 1.5], "1.5"),
+        ([0.5, -np.inf], "-inf"), ([0.5, 2.0, np.nan], "2.0"),  # the first bad pixel is named
+        ([0.5, -0.0], None),  # -0.0 lies in [0, 1]
+    ])
+    def test_message_shows_the_value_as_a_float(self, row, shown):
+        if shown is None:
+            assert as_likelihood(np.array([row])).tolist() == [row]
+            return
         with pytest.raises(GridFormatError) as exc:
-            as_likelihood(np.array([[0.5, value]]))
+            as_likelihood(np.array([row]))
         assert str(exc.value) == f"value {shown} at pixel 1 is outside [0, 1]"
 
     def test_rejects_empty_and_non_2d(self):

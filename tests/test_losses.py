@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topokit.grid import GridFormatError
 from topokit.losses import (
     NOISE_DIAGONAL,
     cross_entropy_loss_and_gradient,
@@ -222,13 +223,21 @@ class TestTopoConsistency:
         assert np.array_equal(f_grad, grad)
         assert f_report.topo_loss == report.topo_loss
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            topo_loss_and_gradient([[0.1, 0.2]], [[0.1], [0.2]])
-
-    def test_bad_noise_mode_rejected(self):
-        with pytest.raises(ValueError):
-            topo_loss_and_gradient([[0.1, 0.2]], [[0.1, 0.2]], noise_mode="melt")
+    @pytest.mark.parametrize("student, teacher, noise_mode, error, message", [
+        ([0.1, 0.2], [[0.1, 0.2]], "squared-values", ValueError,
+         "likelihood grid must be a nonempty 2D array, got shape (2,)"),
+        ([[0.1, 0.2], [0.3, 0.4]], [[0.1, 0.2], [np.nan, 0.4]], "squared-values", GridFormatError,
+         "value nan at pixel 2 is outside [0, 1]"),
+        ([[0.1, 0.2]], [[0.1], [0.2]], "squared-values", ValueError,
+         "shape mismatch: (1, 2) vs (2, 1)"),
+        ([[0.1, 0.2]], [[0.1, 0.2]], "melt", ValueError,
+         "noise_mode must be one of ('squared-values', 'diagonal'), got 'melt'"),
+    ], ids=["1d-student", "nan-teacher", "shape-mismatch", "bad-noise-mode"])
+    def test_single_fault_type_and_message(self, student, teacher, noise_mode, error, message):
+        with pytest.raises(ValueError) as exc:
+            topo_loss_and_gradient(student, teacher, noise_mode=noise_mode)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

@@ -325,7 +325,7 @@ class TestLoopReference:
 
 
 def _stacked(grids, direction):
-    """The arguments _diagrams gives _pair for grids of one shape, a separator row below each but the last."""
+    """The arguments compute_diagrams gives _pair for grids of one shape, a separator row below each but the last."""
     h, w = grids[0].shape
     orders = [np.argsort(-g.ravel() if direction == SUPERLEVEL else g.ravel(), kind="stable")
               for g in grids]
@@ -578,6 +578,25 @@ class TestComputeDiagrams:
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
             run_simulation(student, config, teacher_init_logits=teacher)
         assert kernel.call_count == calls
+
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("kinds", ["crr", "rcr", "rrc", "crs", "scrc", "1x1"])
+    def test_grids_without_finite_dots_anywhere_in_a_batch(self, kinds, connectivity, direction):
+        # c (constant) and s (a ramp falling in raster order) have no finite dot in either
+        # direction, r (random) has many; the kernel output is split grid by grid.
+        rng = np.random.default_rng(15)
+        ramp = np.arange(72.0)[::-1].reshape(9, 8) / 71
+        make = {"c": lambda: np.full((9, 8), 0.5), "s": lambda: ramp,
+                "r": lambda: random_distinct_grid(rng, 9, 8)}
+        grids = ([rng.random((1, 1)) for _ in range(3)] if kinds == "1x1"
+                 else [make[kind]() for kind in kinds])
+        persistence._recent.clear()
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagrams(grids, direction, connectivity)
+        assert kernel.call_count == 1
+        for diagram, grid in zip(got, grids, strict=True):
+            assert diagram == fresh_diagram(grid, direction, connectivity)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
