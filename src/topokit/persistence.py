@@ -19,9 +19,9 @@ Sheppard, IEEE TPAMI 2011), then merges them:
   so only an edge between a pixel and a lower neighbour in another basin can
   merge components. Basins are numbered in their minima's rank order, so the
   elder of two components is the one with the smaller number.
-- Deduped edges. Those edges are keyed by (pixel rank, offset index). Of all
-  edges between the same two basins only the first in key order is kept:
-  every later one joins components that are already one.
+- Deduped edges. Each is found where it lies in the frame and keyed by rank *
+  connectivity + offset index. Of the edges between two basins (packed as
+  min * count + max) only the least key is kept: the rest join nothing new.
 - The merge. numpy contracts the kept edges in rounds, after the leaf
   pruning of Carr, Weber, Sewell & Ahrens (IEEE LDAV 2016). A node is a
   basin number that stands for its group, and an edge's key is its place in
@@ -250,46 +250,40 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
     number = np.cumsum(is_min, dtype=np.int32) - 1
     basin = np.full(n + 1, -1, np.int32)  # rank -> basin number; rank n (not inserted) -> -1
     np.take(number, ptr, out=basin[:n])
-    del low, is_min, nxt, ptr, number
     fbasin = np.full((h + 2, w + 2), -1, np.int32)  # the border is in no basin
-    own = fbasin[1:-1, 1:-1]
-    own[...] = basin[rank]
+    fbasin[1:-1, 1:-1] = basin[rank]
+    del low, is_min, nxt, ptr, number, basin, rank
 
-    # Every (pixel, lower neighbour in another basin) edge, keyed rank * connectivity
-    # + offset index. Of the edges between two basins only the first in key order can
-    # merge components: the later ones join components that are already one.
-    foreign = np.empty((n, connectivity), np.int32)  # rows in rank order, -1: no edge
-    for j, (dr, dc) in enumerate(shifts):
-        nb = around(fbasin, dr, dc)
-        foreign[:, j] = np.where((around(frank, dr, dc) < rank) & (nb != own), nb, -1).ravel()[order]
-    is_edge = foreign >= 0
-    b = foreign[is_edge]  # row-major: in key order
-    r = np.repeat(np.arange(n, dtype=np.int32), is_edge.sum(axis=1, dtype=np.int32))
-    del foreign, is_edge
-    a = basin[r]
-    pair = np.minimum(a, b).astype(np.int64)
-    pair *= minima.size
-    pair += np.maximum(a, b)
-    del a
+    # Deduped edges (module docstring), found in the frame's flat span from the first
+    # pixel to the last, whose border and separator cells lie in no basin.
+    ff, fb, lo, hi = frank.ravel(), fbasin.ravel(), w + 3, (h + 1) * (w + 2) - 1
+    here, own, inserted = ff[lo:hi], fb[lo:hi], fb[lo:hi] >= 0
+    count, keys, pairs = minima.size, [], []
+    for j, at in enumerate(dr * (w + 2) + dc for dr, dc in shifts):
+        nb = fb[lo + at:hi + at]
+        hit = np.flatnonzero((ff[lo + at:hi + at] < here) & (nb != own) & inserted)
+        a, b = own[hit], nb[hit]
+        keys.append(np.multiply(here[hit], connectivity, dtype=np.int64) + j)
+        pairs.append(np.multiply(np.minimum(a, b), count, dtype=np.int64) + np.maximum(a, b))
+    kept, pair = np.concatenate(keys), np.concatenate(pairs)
+    del hit, a, b, keys, pairs, inserted
     by_pair = np.argsort(pair)
-    first = np.minimum.reduceat(by_pair, _run_starts(pair[by_pair]))
-    del pair, by_pair
-    first.sort()
-    r, b = r[first], b[first]
-    del first
+    starts = _run_starts(pair[by_pair])
+    kept, pair = np.minimum.reduceat(kept[by_pair], starts), pair[by_pair[starts]]
+    del by_pair, starts
+    by_key = np.argsort(kept)
+    kept = kept[by_key]
 
     # The merge (module docstring): an edge's key is its index. Pointer jumping leads each
     # dying node to its first ancestor that is not dying, so every edge is relabelled to
     # live nodes.
-    count, size = minima.size, r.size
+    size = kept.size
     into = np.arange(count)  # a dead node -> a node of its component from its death on
     dies = np.full(count, size)  # the key of the edge each node dies at; size: never
-    a = basin[r]
     edges = np.empty((3, size), np.intp)
-    np.minimum(a, b, out=edges[0])
-    np.maximum(a, b, out=edges[1])
+    np.divmod(pair[by_key], count, out=(edges[0], edges[1]))
     edges[2] = np.arange(size)
-    del a, b
+    del pair, by_key
     while edges.shape[1]:  # rows u < v and key: an edge can only kill its younger end v
         u, v, key = edges[0], edges[1], edges[2]
         least = np.full(count, size)  # each node's lowest key
@@ -318,14 +312,14 @@ def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndar
     slot = np.full(size + 1, -1)
     slot[dies] = np.arange(count)
     killed = slot[:-1][slot[:-1] >= 0]
-    death = r[dies[killed]]
+    death = kept[dies[killed]] // connectivity
     multi = np.bincount(death)[death] > 1
     if multi.any():
         mr, q = death[multi, None], killed[multi]
         cell = order[mr]
         cell += 2 * (cell // w) + w + 3  # row-major index in the framed arrays
         near = cell + [dr * (w + 2) + dc for dr, dc in shifts]
-        root = np.where(frank.ravel()[near] < mr, fbasin.ravel()[near], 0)  # basin 0 never dies
+        root = np.where(ff[near] < mr, fb[near], 0)  # basin 0 never dies
         up, last = into, np.full(count, n)
         last[killed] = death
         levels = [(up, last)]

@@ -311,9 +311,8 @@ class TestLoopReference:
     def test_peak_memory_on_random_512(self):
         # The pixel-by-pixel loop peaked at 29.7 MiB here (Python lists of the argsort,
         # the values and a parent and birth slot per framed cell). The basin kernel peaks
-        # at 19.0 MiB with its numpy merge (19.2 with the Python walk it replaced): its
-        # basin and edge build alone reaches about 17.5, and the 52,714 dots it returns
-        # hold 1.6.
+        # at 16.7 MiB with its edges found where they lie (18.1 with an n x 4 table of
+        # them in rank order), and the 52,714 dots it returns hold 1.6.
         grid = np.random.default_rng(0).random((512, 512))
         tracemalloc.start()
         try:
@@ -322,6 +321,27 @@ class TestLoopReference:
         finally:
             tracemalloc.stop()
         assert peak <= 26 * 2**20
+
+    def test_peak_memory_on_random_512_at_8_connectivity(self):
+        # 20.2 MiB, 23.9 with an n x 8 table of the edges in rank order.
+        grid = np.random.default_rng(0).random((512, 512))
+        assert _traced_peak(grid, SUBLEVEL, 8) <= 28 * 2**20
+
+    def test_peak_memory_on_smooth_1024_superlevel_8(self):
+        # The cli-grids pd-smooth1024-p2 call: 49.0 MiB. An n x 8 int32 table of the
+        # edges in rank order took it to 80.2, though only 20,226 edges fill it.
+        assert _traced_peak(_bench_grid("smooth-1024"), SUPERLEVEL, 8) <= 64 * 2**20
+
+
+def _traced_peak(grid, direction, connectivity):
+    """tracemalloc's peak over a compute_diagram call that pairs afresh."""
+    persistence._recent.clear()
+    tracemalloc.start()
+    try:
+        compute_diagram(grid, direction, connectivity)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _stacked(grids, direction):
@@ -375,12 +395,15 @@ def _settled(grid, direction, connectivity):
 class TestMerge:
     """The numpy merge in _pair against the Python walk it replaced, and on chain grids."""
 
-    @pytest.mark.parametrize("name, connectivity", [
-        ("random-1024", 4), ("random-1024", 8), ("smooth-1024", 4), ("bit8-256", 4),
-        ("random-256", 4), ("level8-512", 8), ("sincos-1024", 4)])
-    def test_bench_shaped_grids_equal_the_walk_in_order(self, name, connectivity):
+    @pytest.mark.parametrize("name, connectivity, direction", [
+        ("random-1024", 4, SUBLEVEL), ("random-1024", 8, SUBLEVEL), ("smooth-1024", 4, SUBLEVEL),
+        ("smooth-1024", 8, SUBLEVEL), ("bit8-256", 4, SUBLEVEL), ("bit8-256", 8, SUBLEVEL),
+        ("random-256", 4, SUBLEVEL), ("level8-512", 8, SUBLEVEL), ("sincos-1024", 4, SUBLEVEL),
+        ("smooth-1024", 8, SUPERLEVEL)])  # the last is the cli-grids pd-smooth1024-p2 call
+    def test_bench_shaped_grids_equal_the_walk_in_order(self, name, connectivity, direction):
         grid = _bench_grid(name)
-        args = np.argsort(grid.ravel(), kind="stable"), *grid.shape, connectivity
+        flat = -grid.ravel() if direction == SUPERLEVEL else grid.ravel()
+        args = np.argsort(flat, kind="stable"), *grid.shape, connectivity
         for got, want in zip(persistence._pair(*args), walk_pair(*args)):
             assert np.array_equal(got, want)
 
