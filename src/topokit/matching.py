@@ -19,6 +19,10 @@ combine into one; every other dot goes to the diagonal. Hopcroft-Karp then
 runs once on the whole augmented graph at d, so the pairs are those of that
 graph's matching, whatever the search that found d.
 
+Memory: one dense (n+m)^2 float64 matrix, plus one n x m float64 block while its
+dot-to-dot distances are built in place. The bottleneck's graphs hold int32 columns,
+and the matrix is freed before the final (n+m)^2 graph is built.
+
 Essential dots participate like any other dot. The matched pairs are one
 read-only (k, 2) int64 array, in the row order DiagramMatching states.
 
@@ -106,8 +110,14 @@ def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarra
         raise ValueError(f"matching {n} against {m} dots needs a {size * size * 8}-byte "
                          f"distance matrix, over the {_MAX_MATRIX_BYTES}-byte limit")
     dist = np.full((size, size), np.inf)
-    diff = np.abs(lpts[:, None, :] - rpts[None, :, :])
-    dist[:n, :m] = diff.max(axis=2) if chebyshev else np.sqrt((diff * diff).sum(axis=2))
+    # Built in place: one coordinate's differences in the block, the other's in one n x m
+    # temporary. Equal bit for bit to abs, then max or sqrt of the sum, over an (n, m, 2) array.
+    near = np.subtract.outer(lpts[:, 0], rpts[:, 0], out=dist[:n, :m])
+    other = np.subtract.outer(lpts[:, 1], rpts[:, 1])
+    if chebyshev:
+        np.maximum(np.abs(near, out=near), np.abs(other, out=other), out=near)
+    else:
+        np.sqrt(np.add(np.square(near, out=near), np.square(other, out=other), out=near), out=near)
     scale = 2.0 if chebyshev else _SQRT2
     dist[np.arange(n), m + np.arange(n)] = np.abs(lpts[:, 1] - lpts[:, 0]) / scale
     dist[n + np.arange(m), np.arange(m)] = np.abs(rpts[:, 1] - rpts[:, 0]) / scale
@@ -144,9 +154,24 @@ def _power_is_normal(x: float, p: float) -> bool:
         return False
 
 
-def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
+def _graph(mask: np.ndarray):
+    """The CSR graph of mask's True cells: csr_matrix(mask)'s indptr, indices and shape.
+
+    Built from the row counts and the flat cells, with int32 columns, so no int64 row and
+    column pair is held per edge; the same cells in the same order give the same matching.
+    """
     from scipy.sparse import csr_matrix
 
+    rows, cols = mask.shape
+    indptr = np.zeros(rows + 1, np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    cells = np.flatnonzero(mask)
+    indices = np.empty(cells.size, np.int32)
+    np.remainder(cells, cols, out=indices)
+    return csr_matrix((np.ones(cells.size, bool), indices, indptr), shape=(rows, cols))
+
+
+def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     maximum_bipartite_matching = _scipy_extension(
         "scipy.sparse.csgraph", "_matching").maximum_bipartite_matching
     n, m = len(lpts), len(rpts)
@@ -159,10 +184,12 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
 
     def feasible(d: float) -> bool:  # every dot farther than d from the diagonal matched within d
         edges = near <= d
-        return all((maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all()
+        return all((maximum_bipartite_matching(_graph(graph), perm_type="column") >= 0).all()
                    for graph in (edges[lgap > d], edges.T[rgap > d]))
 
     last = len(candidates) - 1  # candidates[last] is hi, feasible, never probed
     d = float(candidates[bisect.bisect_left(candidates, True, hi=last, key=feasible)])
-    row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
+    graph = dist <= d
+    del dist, near, lgap, rgap, candidates  # only the final graph outlives the search
+    row_of_col = maximum_bipartite_matching(_graph(graph), perm_type="row")
     return _pairs_from_assignment(row_of_col, np.arange(row_of_col.size), n, m), d

@@ -97,6 +97,19 @@ def test_matching_kernels_load_without_their_packages(tmp_path, command):
     assert json.loads(line) == [0, [[kernel] for _, kernel in kernels]]
 
 
+@pytest.mark.parametrize("command", ["wasserstein-2", "loss"])
+def test_assignment_subcommands_load_no_scipy_sparse(tmp_path, command):
+    """Only the bottleneck and metrics build sparse graphs; W_p loads no scipy.sparse module."""
+    argv = _subcommand_argv(tmp_path, command)
+    line = _run_fresh(tmp_path, f"""
+        import json
+        import topokit.cli
+        code = topokit.cli.main({argv!r})
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy.sparse"))]))
+    """)
+    assert json.loads(line) == [0, []]
+
+
 @pytest.mark.parametrize("public_first", [False, True])
 def test_kernel_functions_are_the_public_ones(tmp_path, public_first):
     public = "import scipy.optimize, scipy.sparse.csgraph, scipy.ndimage._measurements"
