@@ -7,10 +7,11 @@ teacher-student simulator.
 
 scipy is imported inside the functions that call it, never at module
 level, so importing the package (or running ``topokit pd``) loads numpy
-only. The matching solvers come straight from scipy's compiled modules
-(``scipy.optimize._lsap``, ``scipy.sparse.csgraph._matching``), so no
-subcommand imports the ``scipy.optimize`` or ``scipy.sparse.csgraph``
-packages.
+only. The assignment solver comes straight from scipy's compiled module
+``scipy.optimize._lsap`` and the metrics' matching from
+``scipy.sparse.csgraph._matching``, so no subcommand imports the
+``scipy.optimize`` or ``scipy.sparse.csgraph`` packages. The bottleneck
+matching is topokit's own Hopcroft-Karp and loads no scipy module.
 """
 
 from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, total_persistence

@@ -20,21 +20,25 @@ runs once on the whole augmented graph at d, so the pairs are those of that
 graph's matching, whatever the search that found d.
 
 Memory: one dense (n+m)^2 float64 matrix, plus one n x m float64 block while its
-dot-to-dot distances are built in place. The bottleneck's graphs hold int32 columns,
-and the matrix is freed before the final (n+m)^2 graph is built.
+dot-to-dot distances are built in place. The bottleneck sorts its candidate distances
+in place and frees the matrix before its final matching; no (n+m)^2 graph is built, as
+the complete copy-to-copy block of the augmented graph is joined implicitly.
 
 Essential dots participate like any other dot. The matched pairs are one
 read-only (k, 2) int64 array, in the row order DiagramMatching states.
 
-Both solvers are scipy's compiled functions, loaded by grid._scipy_extension
-without the packages' __init__: scipy.optimize's imports scipy.linalg, fft and
-special (0.4-0.6 s per process on a 2-core x86 box, where _lsap alone loads in
-12-16 ms), and scipy.sparse.csgraph's costs 0.12-0.15 s beyond scipy.sparse.
+W_p's solver is scipy's compiled linear_sum_assignment, loaded by
+grid._scipy_extension without scipy.optimize's __init__, which imports scipy.linalg,
+fft and special (0.4-0.6 s per process on a 2-core x86 box, where _lsap alone loads in
+12-16 ms). The bottleneck's Hopcroft-Karp (Hopcroft & Karp, SIAM J. Comput. 1973) is
+_hopcroft_karp below, in pure Python: it finds the matching scipy's
+maximum_bipartite_matching finds, without the 0.15 s and 20 MiB import of scipy.sparse.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -154,42 +158,127 @@ def _power_is_normal(x: float, p: float) -> bool:
         return False
 
 
-def _graph(mask: np.ndarray):
-    """The CSR graph of mask's True cells: csr_matrix(mask)'s indptr, indices and shape.
+def _hopcroft_karp(adjacency: list, cols: int, block: tuple = ()) -> tuple:
+    """A maximum bipartite matching: (column of each row, row of each column), -1 if none.
 
-    Built from the row counts and the flat cells, with int32 columns, so no int64 row and
-    column pair is held per edge; the same cells in the same order give the same matching.
+    adjacency[r] lists row r's columns in increasing order. block = (r0, c0) also joins
+    every row from r0 on to every column from c0 on, after its listed columns, which lie
+    below c0; those edges are never listed. It is the matching scipy's
+    maximum_bipartite_matching finds on the whole graph: the greedy pass and the
+    depth-first searches visit rows and columns in scipy's order, and the breadth-first
+    layers are the same distances.
     """
-    from scipy.sparse import csr_matrix
+    rows = len(adjacency)
+    r0, c0 = block or (rows, cols)
+    col_of, row_of, parent = [-1] * rows, [-1] * cols, [-1] * rows
+    spare = c0  # no block column below it is free: a matched column stays matched
 
-    rows, cols = mask.shape
-    indptr = np.zeros(rows + 1, np.int32)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    def free_column(v: int) -> int:  # v's first free column, -1 if none
+        nonlocal spare
+        for b in adjacency[v]:
+            if row_of[b] < 0:
+                return b
+        if v >= r0:
+            while spare < cols and row_of[spare] >= 0:
+                spare += 1
+            if spare < cols:
+                return spare
+        return -1
+
+    for a in range(rows):  # greedy: each row in turn takes its first free column
+        b = free_column(a)
+        if b >= 0:
+            col_of[a], row_of[b] = b, a
+    inf = rows + 1
+    while True:
+        # Layers: a row's breadth-first distance from the free rows along alternating
+        # paths, whatever the visiting order, up to the first layer that meets a free
+        # column (the bound). A layer with a block row meets every block column.
+        # dist[-1] is read for a free column's row -1 and stays inf.
+        roots = [a for a in range(rows) if col_of[a] < 0]
+        dist, layer, seen, bound = [inf] * (rows + 1), roots, {-1, *roots}, 0
+        while layer:
+            for a in layer:
+                dist[a] = bound
+            bound += 1
+            reached = set(map(row_of.__getitem__,
+                              itertools.chain.from_iterable(map(adjacency.__getitem__, layer))))
+            if max(layer) >= r0:
+                reached.update(row_of[c0:])
+            if -1 in reached:
+                break
+            layer = list(reached - seen)
+            seen.update(layer)
+        else:
+            return col_of, row_of
+        # The block's matched rows by layer, in column order. An augmenting path moves
+        # only rows it visited, whose dist is then inf, so stale entries are dropped as met.
+        in_block = {}
+        for u in row_of[c0:]:
+            if dist[u] < bound:
+                in_block.setdefault(dist[u], []).append(u)
+        # Depth-first from each free row in index order, the last row pushed first. Rows
+        # at the bound's distance, left inf above, could end no path: none is pushed.
+        for root in roots:
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                level, dist[v] = dist[v] + 1, inf
+                if level == bound:
+                    b = free_column(v)
+                    if b >= 0:
+                        while v >= 0:  # augment back along the parent links
+                            col_of[v], b = b, col_of[v]
+                            row_of[col_of[v]] = v
+                            v = parent[v]
+                        break
+                    continue
+                pushed = [u for u in map(row_of.__getitem__, adjacency[v]) if dist[u] == level]
+                if v >= r0 and level in in_block:
+                    in_block[level] = [u for u in in_block[level] if dist[u] == level]
+                    pushed += in_block[level]
+                for u in pushed:
+                    parent[u] = v
+                stack += pushed
+
+
+def _adjacency(mask: np.ndarray) -> list:
+    """Each row's True columns in increasing order, as lists of ints."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
     cells = np.flatnonzero(mask)
-    indices = np.empty(cells.size, np.int32)
-    np.remainder(cells, cols, out=indices)
-    return csr_matrix((np.ones(cells.size, bool), indices, indptr), shape=(rows, cols))
+    cells = np.remainder(cells, mask.shape[1], out=cells).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
-    maximum_bipartite_matching = _scipy_extension(
-        "scipy.sparse.csgraph", "_matching").maximum_bipartite_matching
     n, m = len(lpts), len(rpts)
     dist = _augmented(lpts, rpts, chebyshev=True)
     near, lgap, rgap = dist[:n, :m], np.diagonal(dist[:n, m:]), np.diagonal(dist[n:, :m])
     # Every row and column needs an entry <= d; sending every dot to the diagonal is feasible.
     lo = max(dist.min(axis=0).max(), dist.min(axis=1).max())
     hi = max(lgap.max(initial=0.0), rgap.max(initial=0.0))
-    candidates = np.unique(dist[(dist >= lo) & (dist <= hi)])  # the optimum is one of these
+    keep = np.greater_equal(dist, lo)  # the optimum is one of the distinct entries in [lo, hi]
+    candidates = dist[np.logical_and(keep, np.less_equal(dist, hi), out=keep)]
+    del keep
+    candidates.sort()
+    first = np.empty(candidates.size, bool)  # the first entry of each run of equal ones
+    first[:1] = True
+    np.not_equal(candidates[1:], candidates[:-1], out=first[1:])
+    candidates = candidates[first]
 
     def feasible(d: float) -> bool:  # every dot farther than d from the diagonal matched within d
         edges = near <= d
-        return all((maximum_bipartite_matching(_graph(graph), perm_type="column") >= 0).all()
+        return all(-1 not in _hopcroft_karp(_adjacency(graph), graph.shape[1])[0]
                    for graph in (edges[lgap > d], edges.T[rgap > d]))
 
     last = len(candidates) - 1  # candidates[last] is hi, feasible, never probed
     d = float(candidates[bisect.bisect_left(candidates, True, hi=last, key=feasible)])
-    graph = dist <= d
-    del dist, near, lgap, rgap, candidates  # only the final graph outlives the search
-    row_of_col = maximum_bipartite_matching(_graph(graph), perm_type="row")
-    return _pairs_from_assignment(row_of_col, np.arange(row_of_col.size), n, m), d
+    # The augmented graph at d: a left dot's close right dots, then its diagonal copy; a right
+    # dot's copy, that dot if close, then every left dot's copy (the block, never listed).
+    adjacency = _adjacency(near <= d)
+    for i in np.flatnonzero(lgap <= d).tolist():
+        adjacency[i].append(m + i)
+    adjacency += [[j] if close else [] for j, close in enumerate((rgap <= d).tolist())]
+    del dist, near, lgap, rgap, candidates, first
+    row_of_col = np.array(_hopcroft_karp(adjacency, n + m, (n, m))[1], np.int64)
+    return _pairs_from_assignment(row_of_col, np.arange(n + m), n, m), d

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import collections
 import csv
 import itertools
@@ -402,6 +403,30 @@ def oracle_bottleneck(lpts: np.ndarray, rpts: np.ndarray):
         else:
             best, hi = found, mid
     return _pairs_from_assignment(best, np.arange(best.size), len(lpts), len(rpts)), float(candidates[hi])
+
+
+def scipy_bottleneck(lpts: np.ndarray, rpts: np.ndarray):
+    """(pairs, cost) of matching._bottleneck's threshold search, each graph matched by scipy.
+
+    The same search on the n x m dot graph (np.unique candidates, the two-sided probes),
+    then scipy's maximum_bipartite_matching on the whole augmented graph at the optimum,
+    copy-to-copy block included. matching._bottleneck must agree bit for bit.
+    """
+    n, m = len(lpts), len(rpts)
+    dist = oracle_augmented(lpts, rpts, chebyshev=True)
+    near, lgap, rgap = dist[:n, :m], np.diagonal(dist[:n, m:]), np.diagonal(dist[n:, :m])
+    lo = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+    hi = max(lgap.max(initial=0.0), rgap.max(initial=0.0))
+    candidates = np.unique(dist[(dist >= lo) & (dist <= hi)])
+
+    def feasible(d: float) -> bool:
+        edges = near <= d
+        return all((maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all()
+                   for graph in (edges[lgap > d], edges.T[rgap > d]))
+
+    d = float(candidates[bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)])
+    row_of_col = maximum_bipartite_matching(csr_matrix(dist <= d), perm_type="row")
+    return _pairs_from_assignment(row_of_col, np.arange(row_of_col.size), n, m), d
 
 
 def brute_assignment_cost(cost_matrix) -> float:

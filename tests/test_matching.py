@@ -12,8 +12,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from topokit.grid import _scipy_extension
-from topokit.matching import DIAGONAL, _augmented, _graph, match_diagrams
+from topokit import matching
+from topokit.matching import DIAGONAL, _adjacency, _augmented, _hopcroft_karp, match_diagrams
 from topokit.persistence import PersistenceDiagram
 
 from _support import (
@@ -24,6 +24,7 @@ from _support import (
     oracle_augmented,
     oracle_bottleneck,
     random_diagram_pairs,
+    scipy_bottleneck,
 )
 
 
@@ -254,11 +255,9 @@ class TestBottleneckAgainstTheFullGraphSearch:
         # (n+m)^2 augmented graph once, at the optimum, for the pairs.
         rng = np.random.default_rng(83)
         left, right = grid_shaped_dots(rng, 200, quantized), grid_shaped_dots(rng, 150, quantized)
-        kernel = _scipy_extension("scipy.sparse.csgraph", "_matching")
-        with mock.patch.object(kernel, "maximum_bipartite_matching",
-                               wraps=kernel.maximum_bipartite_matching) as solver:
+        with mock.patch.object(matching, "_hopcroft_karp", wraps=_hopcroft_karp) as solver:
             match_diagrams(diagram_from_pairs(left), diagram_from_pairs(right), math.inf)
-        shapes = [call.args[0].shape for call in solver.call_args_list]
+        shapes = [(len(call.args[0]), call.args[1]) for call in solver.call_args_list]
         assert len(shapes) > 1  # the search probed
         assert shapes.count((350, 350)) == 1 and shapes[-1] == (350, 350)
         assert all(rows <= 200 and cols <= 200 for rows, cols in shapes[:-1])
@@ -307,9 +306,9 @@ class TestAugmentedMatrix:
 
 @st.composite
 def masks(draw):
-    """0-9 x 0-9 boolean masks: random cells with some all-False rows, all True or all
+    """0-12 x 0-12 boolean masks: random cells with some all-False rows, all True or all
     False, sometimes a transposed (Fortran-ordered) view."""
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     fill = draw(st.sampled_from(["cells", "all-true", "all-false"]))
     mask = np.full((rows, cols), fill == "all-true")
     if fill == "cells":
@@ -320,25 +319,77 @@ def masks(draw):
     return np.ascontiguousarray(mask.T).T if draw(st.booleans()) else mask
 
 
-class TestGraph:
-    """_graph(mask) is the CSR graph csr_matrix(mask) builds, with int32 columns."""
+def assert_scipy_matching(adjacency, mask, block=()):
+    """_hopcroft_karp on the listed graph returns both of scipy's outputs on the whole mask."""
+    col_of, row_of = _hopcroft_karp(adjacency, mask.shape[1], block)
+    graph = csr_matrix(mask)
+    assert col_of == maximum_bipartite_matching(graph, perm_type="column").tolist()
+    assert row_of == maximum_bipartite_matching(graph, perm_type="row").tolist()
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+
+class TestHopcroftKarp:
+    """_hopcroft_karp finds the matching scipy's maximum_bipartite_matching finds."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
     @given(masks())
     @example(np.zeros((0, 5), bool))
     @example(np.zeros((5, 0), bool))
     @example(np.zeros((0, 0), bool))
     @example(np.ones((7, 4), bool))
+    @example(np.ones((12, 12), bool))
     @example(np.zeros((3, 6), bool))
     @example(np.eye(6, dtype=bool)[[0, 0, 2, 5]])
-    def test_the_graph_csr_matrix_builds(self, mask):
-        got, want = _graph(mask), csr_matrix(mask)
-        assert got.shape == want.shape
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == np.int32
-        for perm_type in ("row", "column"):
-            assert np.array_equal(maximum_bipartite_matching(got, perm_type=perm_type),
-                                  maximum_bipartite_matching(want, perm_type=perm_type))
+    @example(np.tile([True, False, True, True], (9, 1)))
+    def test_the_matching_scipy_finds(self, mask):
+        adjacency = _adjacency(mask)
+        assert adjacency == [np.flatnonzero(row).tolist() for row in mask]
+        assert_scipy_matching(adjacency, mask)
+
+    def test_random_graphs_up_to_40_square(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            rows, cols = rng.integers(0, 41, 2)
+            mask = rng.random((rows, cols)) < rng.uniform(0.0, 0.5)
+            assert_scipy_matching(_adjacency(mask), mask)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(bottleneck_sides())
+    def test_augmented_graphs_at_every_threshold(self, sides):
+        # Copy rows list only their dot column; the complete copy-to-copy block is implicit.
+        left, right = (np.reshape(np.array(side, np.float64), (-1, 2)) for side in sides)
+        n, m = len(left), len(right)
+        dist = oracle_augmented(left, right, chebyshev=True)
+        for d in np.unique(dist[np.isfinite(dist)]):
+            mask = dist <= d
+            assert mask[n:, m:].all()
+            adjacency = ([np.flatnonzero(row).tolist() for row in mask[:n]]
+                         + [np.flatnonzero(row[:m]).tolist() for row in mask[n:]])
+            assert_scipy_matching(adjacency, mask, (n, m))
+
+
+def assert_scipy_bottleneck(left, right):
+    lpts, rpts = (np.reshape(np.array(side, np.float64), (-1, 2)) for side in (left, right))
+    got = match_diagrams(diagram_from_pairs(lpts), diagram_from_pairs(rpts), math.inf)
+    pairs, cost = scipy_bottleneck(lpts, rpts)
+    assert np.float64(got.cost).tobytes() == np.float64(cost).tobytes()
+    assert got.pairs.shape == pairs.shape and got.pairs.tobytes() == pairs.tobytes()
+
+
+class TestBottleneckAgainstScipy:
+    """Cost and pairs bit-equal to the same search with scipy's Hopcroft-Karp."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dot_sides())
+    def test_small_sides_ties_and_signed_zeros(self, sides):
+        assume(sides[0] or sides[1])
+        assert_scipy_bottleneck(*sides)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("k", [50, 200, 400, 800])
+    def test_grid_shaped_diagrams(self, k, quantized):
+        rng = np.random.default_rng(k + quantized)
+        assert_scipy_bottleneck(grid_shaped_dots(rng, k, quantized),
+                                grid_shaped_dots(rng, k, quantized))
 
 
 def traced_matching_peak(left, right, p) -> int:
@@ -371,6 +422,14 @@ class TestPeakMemory:
         peak = traced_matching_peak(grid_shaped_dots(rng, 400, False),
                                     grid_shaped_dots(rng, 400, False), math.inf)
         assert peak < 9.5 * 2**20
+
+    def test_bottleneck_candidates_sorted_in_place(self):
+        # np.unique over three (n+m)^2 masks, a gather and a sorted copy peaked at 8.28 MiB;
+        # one mask, an in-place sort and a run-start mask peak at 7.20 MiB (matrix 4.88 MiB).
+        rng = np.random.default_rng(0)
+        peak = traced_matching_peak(grid_shaped_dots(rng, 400, False),
+                                    grid_shaped_dots(rng, 400, False), math.inf)
+        assert peak < 7.5 * 2**20
 
 
 class TestMetricAxioms:

@@ -77,7 +77,7 @@ def _subcommand_argv(tmp_path, command):
 _LSAP = (("scipy.optimize", "scipy.linalg", "scipy.fft"), "scipy.optimize._lsap")
 _MATCHING = (("scipy.sparse.csgraph",), "scipy.sparse.csgraph._matching")
 _LABEL = (("scipy.ndimage",), "scipy.ndimage._ni_label")
-KERNELS_OF = {"wasserstein-2": [_LSAP], "loss": [_LSAP], "wasserstein-inf": [_MATCHING],
+KERNELS_OF = {"wasserstein-2": [_LSAP], "loss": [_LSAP], "wasserstein-inf": [],
               "metrics": [_MATCHING, _LABEL]}
 
 
@@ -97,9 +97,21 @@ def test_matching_kernels_load_without_their_packages(tmp_path, command):
     assert json.loads(line) == [0, [[kernel] for _, kernel in kernels]]
 
 
+def test_bottleneck_loads_no_scipy(tmp_path):
+    """wasserstein --p inf matches in topokit's own Hopcroft-Karp: no scipy module at all."""
+    argv = _subcommand_argv(tmp_path, "wasserstein-inf")
+    line = _run_fresh(tmp_path, f"""
+        import json
+        import topokit.cli
+        code = topokit.cli.main({argv!r})
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    """)
+    assert json.loads(line) == [0, []]
+
+
 @pytest.mark.parametrize("command", ["wasserstein-2", "loss"])
 def test_assignment_subcommands_load_no_scipy_sparse(tmp_path, command):
-    """Only the bottleneck and metrics build sparse graphs; W_p loads no scipy.sparse module."""
+    """Only metrics builds sparse graphs; W_p loads no scipy.sparse module."""
     argv = _subcommand_argv(tmp_path, command)
     line = _run_fresh(tmp_path, f"""
         import json
@@ -159,5 +171,4 @@ def test_kernel_falls_back_to_the_public_module(tmp_path):
                                                      for p in (2.0, float("inf")))]
     labeling = topokit.label_components(mask, 8)
     expected.append([labeling.labels.tolist(), labeling.count])
-    assert json.loads(line) == expected + [["scipy.ndimage", "scipy.optimize",
-                                            "scipy.sparse.csgraph"]]
+    assert json.loads(line) == expected + [["scipy.ndimage", "scipy.optimize"]]
