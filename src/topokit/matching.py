@@ -9,20 +9,21 @@ is |death - birth| / sqrt(2).
 For p = infinity the cost is the bottleneck distance. Its ground metric is the
 Chebyshev (max) norm, the convention under which the diagram of a perturbed
 grid stays within the perturbation bound; the diagonal gap is then
-|death - birth| / 2. The cost is the least entry d of the augmented matrix
-whose entries <= d hold a perfect matching (Efrat, Itai & Katz, Algorithmica
-2001), found by binary search from the largest row or column minimum up to the
-largest gap. A probe tests the n x m dot graph alone: each dot farther than d
-from the diagonal must be matched within d, and by the Mendelsohn-Dulmage
-theorem a matching covering such left dots and one covering such right dots
-combine into one; every other dot goes to the diagonal. Hopcroft-Karp then
-runs once on the whole augmented graph at d, so the pairs are those of that
-graph's matching, whatever the search that found d.
+|death - birth| / 2. The cost is the least dot-to-dot distance or gap d at
+which the augmented graph, copies joined to each other at 0, holds a perfect
+matching (Efrat, Itai & Katz, Algorithmica 2001). Binary search finds it
+between the largest of each dot's least distance to the other side's dots or
+the diagonal, and the largest gap. A probe tests the n x m dot graph alone:
+each dot farther than d from the diagonal must be matched within d, and by the
+Mendelsohn-Dulmage theorem a matching covering such left dots and one covering
+such right dots combine into one; every other dot goes to the diagonal.
+Hopcroft-Karp then runs once on the whole augmented graph at d, so the pairs
+are those of that graph's matching, whatever the search that found d.
 
-Memory: one dense (n+m)^2 float64 matrix, plus one n x m float64 block while its
-dot-to-dot distances are built in place. The bottleneck sorts its candidate distances
-in place and frees the matrix before its final matching; no (n+m)^2 graph is built, as
-the complete copy-to-copy block of the augmented graph is joined implicitly.
+Memory: W_p holds one dense (n+m)^2 float64 matrix, plus one n x m float64 block while
+its dot-to-dot distances are built in place. The bottleneck allocates nothing of size
+(n+m)^2: it reads the n x m Chebyshev block, built in place, and the two gap vectors,
+and its final graph joins the complete copy-to-copy block implicitly.
 
 Essential dots participate like any other dot. The matched pairs are one
 read-only (k, 2) int64 array, in the row order DiagramMatching states.
@@ -79,7 +80,11 @@ def match_diagrams(left: PersistenceDiagram, right: PersistenceDiagram,
             i = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
             raise ValueError(f"{side} dot {i} has a non-finite birth or death: "
                              f"({float(pts[i, 0])!r}, {float(pts[i, 1])!r})")
-    if lpts.shape[0] == 0 and rpts.shape[0] == 0:
+    n, m = lpts.shape[0], rpts.shape[0]
+    if (n + m) ** 2 * 8 > _MAX_MATRIX_BYTES:
+        raise ValueError(f"matching {n} against {m} dots needs a {(n + m) ** 2 * 8}-byte "
+                         f"distance matrix, over the {_MAX_MATRIX_BYTES}-byte limit")
+    if n == 0 and m == 0:
         return DiagramMatching(_pairs_from_assignment(*np.empty((2, 0), np.int64), 0, 0), 0.0, p)
     if math.isinf(p):
         pairs, cost = _bottleneck(lpts, rpts)
@@ -97,34 +102,27 @@ def _pairs_from_assignment(rows: np.ndarray, cols: np.ndarray, n: int, m: int) -
     return pairs
 
 
-_MAX_MATRIX_BYTES = 1 << 30  # the dense (n+m)^2 float64 matrix: n + m <= 11585
+_MAX_MATRIX_BYTES = 1 << 30  # W_p's dense (n+m)^2 float64 matrix: n + m <= 11585
+# The same bound caps the bottleneck's n x m block and its Python adjacency lists.
 
 
-def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarray:
-    """(n+m)^2 ground distances of the augmented square assignment problem.
+def _augmented(lpts: np.ndarray, rpts: np.ndarray) -> np.ndarray:
+    """(n+m)^2 Euclidean ground distances of W_p's augmented square assignment problem.
 
     Rows are left dots then right diagonal copies, columns right dots then
     left diagonal copies. A dot reaches every dot of the other side at the
-    ground distance and its own diagonal copy at gap / sqrt(2) (gap / 2 under
-    Chebyshev); copies reach each other at 0; all else is inf.
+    ground distance and its own diagonal copy at gap / sqrt(2); copies reach
+    each other at 0; all else is inf.
     """
     n, m = lpts.shape[0], rpts.shape[0]
-    size = n + m
-    if size * size * 8 > _MAX_MATRIX_BYTES:
-        raise ValueError(f"matching {n} against {m} dots needs a {size * size * 8}-byte "
-                         f"distance matrix, over the {_MAX_MATRIX_BYTES}-byte limit")
-    dist = np.full((size, size), np.inf)
+    dist = np.full((n + m, n + m), np.inf)
     # Built in place: one coordinate's differences in the block, the other's in one n x m
-    # temporary. Equal bit for bit to abs, then max or sqrt of the sum, over an (n, m, 2) array.
+    # temporary. Equal bit for bit to abs, then sqrt of the sum, over an (n, m, 2) array.
     near = np.subtract.outer(lpts[:, 0], rpts[:, 0], out=dist[:n, :m])
     other = np.subtract.outer(lpts[:, 1], rpts[:, 1])
-    if chebyshev:
-        np.maximum(np.abs(near, out=near), np.abs(other, out=other), out=near)
-    else:
-        np.sqrt(np.add(np.square(near, out=near), np.square(other, out=other), out=near), out=near)
-    scale = 2.0 if chebyshev else _SQRT2
-    dist[np.arange(n), m + np.arange(n)] = np.abs(lpts[:, 1] - lpts[:, 0]) / scale
-    dist[n + np.arange(m), np.arange(m)] = np.abs(rpts[:, 1] - rpts[:, 0]) / scale
+    np.sqrt(np.add(np.square(near, out=near), np.square(other, out=other), out=near), out=near)
+    dist[np.arange(n), m + np.arange(n)] = np.abs(lpts[:, 1] - lpts[:, 0]) / _SQRT2
+    dist[n + np.arange(m), np.arange(m)] = np.abs(rpts[:, 1] - rpts[:, 0]) / _SQRT2
     dist[n:, m:] = 0.0
     return dist
 
@@ -132,7 +130,7 @@ def _augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarra
 def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     linear_sum_assignment = _scipy_extension("scipy.optimize", "_lsap").linear_sum_assignment
     n, m = len(lpts), len(rpts)
-    cost = _augmented(lpts, rpts, chebyshev=False)
+    cost = _augmented(lpts, rpts)
     # The largest finite cost: a dot-dot distance or a diagonal gap (views, no copies).
     top = float(max(cost[:n, :m].max(initial=0.0), np.diagonal(cost[:n, m:]).max(initial=0.0),
                     np.diagonal(cost[n:, :m]).max(initial=0.0)))
@@ -145,7 +143,7 @@ def _wasserstein(lpts: np.ndarray, rpts: np.ndarray, p: float):
     total = float(cost[rows, cols].sum())
     if total < sys.float_info.min and not np.array_equal(lpts, rpts):  # equal diagrams: exact 0
         del cost  # 0.0 or subnormal, as powers underflowed: recompute the assigned distances
-        assigned = _augmented(lpts, rpts, chebyshev=False)[rows, cols]
+        assigned = _augmented(lpts, rpts)[rows, cols]
         scale = float(assigned.max(initial=0.0))
         total = float(((assigned / scale) ** p).sum()) if scale > 0.0 else 0.0
     return _pairs_from_assignment(rows, cols, n, m), scale * float(total ** (1.0 / p))
@@ -252,19 +250,20 @@ def _adjacency(mask: np.ndarray) -> list:
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     n, m = len(lpts), len(rpts)
-    dist = _augmented(lpts, rpts, chebyshev=True)
-    near, lgap, rgap = dist[:n, :m], np.diagonal(dist[:n, m:]), np.diagonal(dist[n:, :m])
-    # Every row and column needs an entry <= d; sending every dot to the diagonal is feasible.
-    lo = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+    near = np.subtract.outer(lpts[:, 0], rpts[:, 0])  # Chebyshev, built in place
+    other = np.subtract.outer(lpts[:, 1], rpts[:, 1])
+    np.maximum(np.abs(near, out=near), np.abs(other, out=other), out=near)
+    del other  # one n x m block, not two, under the candidates and the graphs
+    lgap, rgap = (np.abs(pts[:, 1] - pts[:, 0]) / 2.0 for pts in (lpts, rpts))
+    # Every dot needs a dot or its diagonal copy within d; sending every dot there is feasible.
+    lo = max(np.minimum(near.min(axis=1, initial=np.inf), lgap).max(initial=0.0),
+             np.minimum(near.min(axis=0, initial=np.inf), rgap).max(initial=0.0))
     hi = max(lgap.max(initial=0.0), rgap.max(initial=0.0))
-    keep = np.greater_equal(dist, lo)  # the optimum is one of the distinct entries in [lo, hi]
-    candidates = dist[np.logical_and(keep, np.less_equal(dist, hi), out=keep)]
-    del keep
+    # The optimum is a distinct entry in [lo, hi]; at lo == 0 some entry is 0, +0.0 as every
+    # entry is an abs. np.unique would import numpy.ma (8-20 ms per process).
+    candidates = np.concatenate([v[(v >= lo) & (v <= hi)] for v in (near, lgap, rgap)])
     candidates.sort()
-    first = np.empty(candidates.size, bool)  # the first entry of each run of equal ones
-    first[:1] = True
-    np.not_equal(candidates[1:], candidates[:-1], out=first[1:])
-    candidates = candidates[first]
+    candidates = candidates[np.append(True, candidates[1:] != candidates[:-1])]
 
     def feasible(d: float) -> bool:  # every dot farther than d from the diagonal matched within d
         edges = near <= d
@@ -279,6 +278,5 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     for i in np.flatnonzero(lgap <= d).tolist():
         adjacency[i].append(m + i)
     adjacency += [[j] if close else [] for j, close in enumerate((rgap <= d).tolist())]
-    del dist, near, lgap, rgap, candidates, first
     row_of_col = np.array(_hopcroft_karp(adjacency, n + m, (n, m))[1], np.int64)
     return _pairs_from_assignment(row_of_col, np.arange(n + m), n, m), d

@@ -361,11 +361,11 @@ def brute_bottleneck(left_pairs, right_pairs) -> float:
 
 
 def oracle_augmented(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool) -> np.ndarray:
-    """matching._augmented's (n+m)^2 matrix by broadcasting over an (n, m, 2) difference array.
+    """The augmented (n+m)^2 matrix by broadcasting over an (n, m, 2) difference array.
 
     The dot-to-dot block is the max (Chebyshev) or the root of the sum of squares of the
-    absolute coordinate differences. matching._augmented builds it in place and must agree
-    bit for bit.
+    absolute coordinate differences. matching._augmented builds the Euclidean matrix in
+    place and must agree bit for bit; the Chebyshev one is the bottleneck oracles' graph.
     """
     n, m = lpts.shape[0], rpts.shape[0]
     dist = np.full((n + m, n + m), np.inf)
