@@ -20,10 +20,9 @@ such right dots combine into one; every other dot goes to the diagonal.
 Hopcroft-Karp then runs once on the whole augmented graph at d, so the pairs
 are those of that graph's matching, whatever the search that found d.
 
-Memory: W_p holds one dense (n+m)^2 float64 matrix, plus one n x m float64 block while
-its dot-to-dot distances are built in place. The bottleneck allocates nothing of size
-(n+m)^2: it reads the n x m Chebyshev block, built in place, and the two gap vectors,
-and its final graph joins the complete copy-to-copy block implicitly.
+Memory: W_p holds one dense (n+m)^2 float64 matrix, and one n x m temporary while it is
+built. The bottleneck holds nothing of size (n+m)^2: the n x m Chebyshev block, the two
+gap vectors, and a final graph that joins the copy-to-copy block implicitly.
 
 Essential dots participate like any other dot. The matched pairs are one
 read-only (k, 2) int64 array, in the row order DiagramMatching states.
@@ -106,6 +105,15 @@ _MAX_MATRIX_BYTES = 1 << 30  # W_p's dense (n+m)^2 float64 matrix: n + m <= 1158
 # The same bound caps the bottleneck's n x m block and its Python adjacency lists.
 
 
+def _dot_block(lpts: np.ndarray, rpts: np.ndarray, chebyshev: bool, out=None) -> np.ndarray:
+    """n x m dot distances, in out or new, with one temporary; bit-equal to the (n, m, 2) form."""
+    near = np.subtract.outer(lpts[:, 0], rpts[:, 0], out=out)
+    dd = np.subtract.outer(lpts[:, 1], rpts[:, 1])
+    if chebyshev:
+        return np.maximum(np.abs(near, out=near), np.abs(dd, out=dd), out=near)
+    return np.sqrt(np.add(np.square(near, out=near), np.square(dd, out=dd), out=near), out=near)
+
+
 def _augmented(lpts: np.ndarray, rpts: np.ndarray) -> np.ndarray:
     """(n+m)^2 Euclidean ground distances of W_p's augmented square assignment problem.
 
@@ -116,11 +124,7 @@ def _augmented(lpts: np.ndarray, rpts: np.ndarray) -> np.ndarray:
     """
     n, m = lpts.shape[0], rpts.shape[0]
     dist = np.full((n + m, n + m), np.inf)
-    # Built in place: one coordinate's differences in the block, the other's in one n x m
-    # temporary. Equal bit for bit to abs, then sqrt of the sum, over an (n, m, 2) array.
-    near = np.subtract.outer(lpts[:, 0], rpts[:, 0], out=dist[:n, :m])
-    other = np.subtract.outer(lpts[:, 1], rpts[:, 1])
-    np.sqrt(np.add(np.square(near, out=near), np.square(other, out=other), out=near), out=near)
+    _dot_block(lpts, rpts, False, out=dist[:n, :m])
     dist[np.arange(n), m + np.arange(n)] = np.abs(lpts[:, 1] - lpts[:, 0]) / _SQRT2
     dist[n + np.arange(m), np.arange(m)] = np.abs(rpts[:, 1] - rpts[:, 0]) / _SQRT2
     dist[n:, m:] = 0.0
@@ -250,10 +254,7 @@ def _adjacency(mask: np.ndarray) -> list:
 
 def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     n, m = len(lpts), len(rpts)
-    near = np.subtract.outer(lpts[:, 0], rpts[:, 0])  # Chebyshev, built in place
-    other = np.subtract.outer(lpts[:, 1], rpts[:, 1])
-    np.maximum(np.abs(near, out=near), np.abs(other, out=other), out=near)
-    del other  # one n x m block, not two, under the candidates and the graphs
+    near = _dot_block(lpts, rpts, True)  # its temporary freed: one n x m block from here on
     lgap, rgap = (np.abs(pts[:, 1] - pts[:, 0]) / 2.0 for pts in (lpts, rpts))
     # Every dot needs a dot or its diagonal copy within d; sending every dot there is feasible.
     lo = max(np.minimum(near.min(axis=1, initial=np.inf), lgap).max(initial=0.0),

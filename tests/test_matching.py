@@ -13,7 +13,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topokit import matching
-from topokit.matching import DIAGONAL, _adjacency, _augmented, _hopcroft_karp, match_diagrams
+from topokit.matching import (
+    DIAGONAL,
+    _adjacency,
+    _augmented,
+    _dot_block,
+    _hopcroft_karp,
+    match_diagrams,
+)
 from topokit.persistence import PersistenceDiagram
 
 from _support import (
@@ -281,26 +288,33 @@ def dot_sides(draw):
     return left, side(left)
 
 
-def assert_oracle_augmented(left, right):
+def assert_oracle_augmented(left, right, chebyshev):
+    """W_p's whole matrix, or the bottleneck's Chebyshev dot block, against the oracle."""
     lpts, rpts = (np.reshape(np.array(side, np.float64), (-1, 2)) for side in (left, right))
-    got, want = _augmented(lpts, rpts), oracle_augmented(lpts, rpts, chebyshev=False)
+    want = oracle_augmented(lpts, rpts, chebyshev)
+    if chebyshev:
+        got, want = _dot_block(lpts, rpts, True), want[:lpts.shape[0], :rpts.shape[0]]
+    else:
+        got = _augmented(lpts, rpts)
     assert np.array_equal(got, want)  # inf cells included
     assert got.tobytes() == want.tobytes()  # 0.0 and -0.0 too
 
 
 class TestAugmentedMatrix:
-    """W_p's in-place build equals the (n, m, 2) broadcast formula bit for bit."""
+    """The in-place builds equal the (n, m, 2) broadcast formula bit for bit: W_p's whole
+    (n+m)^2 matrix and the bottleneck's n x m Chebyshev block."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(dot_sides())
-    def test_small_sides_ties_and_signed_zeros(self, sides):
-        assert_oracle_augmented(*sides)
+    @given(dot_sides(), st.booleans())
+    def test_small_sides_ties_and_signed_zeros(self, sides, chebyshev):
+        assert_oracle_augmented(*sides, chebyshev)
 
+    @pytest.mark.parametrize("chebyshev", [False, True])
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_grid_shaped_diagrams(self, quantized):
+    def test_grid_shaped_diagrams(self, quantized, chebyshev):
         rng = np.random.default_rng(90 + quantized)
         assert_oracle_augmented(grid_shaped_dots(rng, 800, quantized),
-                                grid_shaped_dots(rng, 300, quantized))
+                                grid_shaped_dots(rng, 300, quantized), chebyshev)
 
 
 @st.composite
