@@ -78,7 +78,7 @@ def _parse_order(text: str) -> float:
 
 
 def _cmd_pd(args) -> int:
-    grid = load_grid(args.grid, args.format)
+    grid = load_grid(args.grid)
     diagram = compute_diagram(grid, args.direction, args.connectivity)
     if args.output is None:
         sys.stdout.write(format_diagram_csv(diagram))
@@ -88,7 +88,7 @@ def _cmd_pd(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    grid = load_grid(args.grid, args.format)
+    grid = load_grid(args.grid)
     diagram = compute_diagram(grid, args.direction, args.connectivity)
     dec = decompose(diagram, args.phi)
     save_diagram_csv(dec.signal, args.signal_out)
@@ -112,8 +112,8 @@ def _cmd_wasserstein(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    student = load_grid(args.student, args.format)
-    teacher = load_grid(args.teacher, args.format)
+    student = load_grid(args.student)
+    teacher = load_grid(args.teacher)
     report, grad = topo_loss_and_gradient(
         student, teacher, args.phi, args.direction, args.connectivity, args.noise_mode
     )
@@ -131,8 +131,8 @@ def _cmd_loss(args) -> int:
 def _cmd_grad_check(args) -> int:
     if not math.isfinite(args.tolerance):
         raise ValueError(f"tolerance must be finite, got {args.tolerance}")
-    student = load_grid(args.student, args.format)
-    teacher = load_grid(args.teacher, args.format)
+    student = load_grid(args.student)
+    teacher = load_grid(args.teacher)
     err = finite_difference_check(
         student, teacher, args.phi, args.h, args.direction,
         args.connectivity, args.noise_mode,
@@ -198,8 +198,6 @@ def _add_grid_io_flags(sub: argparse.ArgumentParser, pair: bool = False) -> None
     if pair:  # loss and grad-check
         sub.add_argument("--student", required=True)
         sub.add_argument("--teacher", required=True)
-    sub.add_argument("--format", choices=("pgm", "csv"), default=None,
-                     help="input grid format (default: inferred from extension)")
     sub.add_argument("--direction", choices=DIRECTIONS, default=SUBLEVEL,
                      help="filtration direction (default: %(default)s)")
     sub.add_argument("--connectivity", type=strict_int, choices=(4, 8), default=4,

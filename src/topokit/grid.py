@@ -5,6 +5,10 @@ where low values mark foreground (dark structures). A mask is a 2D bool
 array with the same layout. Pixel identifiers used throughout the package
 are row-major linear indices into the grid.
 
+A grid file is read by its content, whatever its name. If its first token (after whitespace
+and # comments) starts with "P", the PGM reader takes it and names any magic but P2 and P5;
+any other file, an empty one too, goes to the CSV reader and gets its errors.
+
 This module holds the number grammar of every reader, listed in README
 "Numerical conventions". P2 rasters and CSV grids are read by numpy's text
 parser (np.loadtxt): a P2 raster in one pass, a CSV grid one line at a time,
@@ -162,10 +166,8 @@ _P2_SPACES = bytes.maketrans(b"\t\n\v\f\r\x1c\x1d\x1e\x1f", b"     ????")
 _P2_INTEGER = re.compile(rb"-?[0-9]+")
 
 
-def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
-    """Parse a PGM file into (height x width int array, maxval)."""
-    path = Path(path)
-    data = path.read_bytes()
+def _read_pgm_samples(path: Path, data: bytes) -> tuple[np.ndarray, int]:
+    """Parse the bytes of PGM file path into (height x width int array, maxval)."""
     tokens, pos = [], 0
     for _ in range(4):  # magic, width, height, maxval
         match = _PGM_TOKEN.match(data, pos)
@@ -223,10 +225,9 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     return samples.reshape(height, width), maxval
 
 
-def _read_csv_grid(path) -> np.ndarray:
-    path = Path(path)
+def _read_csv_grid(path: Path, data: bytes) -> np.ndarray:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise GridFormatError(f"{path}: not UTF-8 text") from None
     lines = text.splitlines()
@@ -246,26 +247,14 @@ def _read_csv_grid(path) -> np.ndarray:
     return np.array(rows)
 
 
-def _infer_format(path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("pgm", "csv"):
-            raise ValueError(f"format must be 'pgm' or 'csv', got {fmt!r}")
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        return "pgm"
-    if suffix == ".csv":
-        return "csv"
-    raise ValueError(f"cannot infer grid format from {path!r}; pass fmt='pgm' or 'csv'")
-
-
-def load_grid(path, fmt: str | None = None) -> np.ndarray:
-    """Load a likelihood grid from PGM (values scaled by maxval) or CSV."""
-    fmt = _infer_format(path, fmt)
-    if fmt == "pgm":
-        samples, maxval = _read_pgm_samples(path)
+def load_grid(path) -> np.ndarray:
+    """Load a likelihood grid from PGM (values scaled by maxval) or CSV, by its first token."""
+    path = Path(path)
+    data = path.read_bytes()
+    if _PGM_TOKEN.match(data)[1].startswith(b"P"):
+        samples, maxval = _read_pgm_samples(path, data)
         return as_likelihood(samples / float(maxval))
-    return as_likelihood(_read_csv_grid(path))
+    return as_likelihood(_read_csv_grid(path, data))
 
 
 def save_csv_table(values, path, fmt: str | list[str] = REAL_FORMAT, header: str = "") -> None:
@@ -306,7 +295,8 @@ def save_grid_pgm(grid, path, maxval: int = 65535) -> None:
 
 def load_mask_pgm(path) -> np.ndarray:
     """Load a binary mask from PGM; any nonzero sample is foreground."""
-    samples, _ = _read_pgm_samples(path)
+    path = Path(path)
+    samples, _ = _read_pgm_samples(path, path.read_bytes())
     return samples != 0
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import _scipy_extension
-from .persistence import PersistenceDiagram
+from .persistence import PersistenceDiagram, _run_starts
 
 DIAGONAL = -1
 _SQRT2 = math.sqrt(2.0)
@@ -264,7 +264,7 @@ def _bottleneck(lpts: np.ndarray, rpts: np.ndarray):
     # entry is an abs. np.unique would import numpy.ma (8-20 ms per process).
     candidates = np.concatenate([v[(v >= lo) & (v <= hi)] for v in (near, lgap, rgap)])
     candidates.sort()
-    candidates = candidates[np.append(True, candidates[1:] != candidates[:-1])]
+    candidates = candidates[_run_starts(candidates)]
 
     def feasible(d: float) -> bool:  # every dot farther than d from the diagonal matched within d
         edges = near <= d

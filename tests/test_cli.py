@@ -91,6 +91,18 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, "pd", quad_grid, "--connectivity", "5")
         assert code == 1
 
+    def test_format_flag_is_unrecognized(self, capsys, quad_grid):
+        # The reader is chosen by the file's first token; there is no flag to override it.
+        code, out, err = run_cli(capsys, "pd", quad_grid, "--format", "csv")
+        assert code == 1
+        assert out == "" and "--format" in err
+
+    @pytest.mark.parametrize("name", ["grid.txt", "grid"])
+    def test_grid_under_any_name_loads(self, capsys, tmp_path, quad_grid, name):
+        path = tmp_path / name
+        path.write_bytes(Path(quad_grid).read_bytes())
+        assert run_cli(capsys, "pd", str(path)) == run_cli(capsys, "pd", quad_grid)
+
     @pytest.mark.parametrize("command", ["pd", "wasserstein"])
     def test_non_utf8_file_named_in_error(self, capsys, tmp_path, command):
         bad = tmp_path / "bad.csv"
@@ -567,6 +579,22 @@ class TestDemo:
         )
         assert code == 0
         assert json.loads(out)["steps"] == 1
+
+    def test_custom_init_and_teacher_grids(self, capsys, tmp_path):
+        rng = np.random.default_rng(73)
+        init, teacher = tmp_path / "init.csv", tmp_path / "teacher.pgm"
+        save_grid_csv(random_distinct_grid(rng, 6, 5), init)
+        save_mask_pgm(rng.uniform(size=(6, 5)) < 0.5, teacher)
+        outputs = [tmp_path / name for name in ("t.csv", "s.pgm", "te.pgm")]
+        code, out, err = run_cli(
+            capsys, "demo", "--init", str(init), "--teacher-init", str(teacher), "--steps", "1",
+            "--trace-out", str(outputs[0]), "--student-out", str(outputs[1]),
+            "--teacher-out", str(outputs[2]),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["steps"] == 1
+        assert len(outputs[0].read_text().splitlines()) == 2
+        assert load_mask_pgm(outputs[1]).shape == load_mask_pgm(outputs[2]).shape == (6, 5)
 
     def test_mismatched_labeled_mask_returns_two(self, capsys, tmp_path):
         mask = tmp_path / "mask.pgm"

@@ -69,6 +69,10 @@ class TestValidation:
         m = as_mask([[0, 1], [1, 0]])
         assert m.dtype == bool
 
+    def test_mask_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"mask must be a nonempty 2D array, got shape \(0, 3\)"):
+            as_mask(np.zeros((0, 3)))
+
     def test_format_real_nine_significant_digits(self):
         assert format_real(0.1) == "0.1"
         assert format_real(1 / 3) == "0.333333333"
@@ -325,6 +329,12 @@ class TestPgm:
         with pytest.raises(GridFormatError):
             load_grid(path)
 
+    def test_zero_width_rejected(self, tmp_path):
+        path = tmp_path / "zero.pgm"
+        path.write_text("P2\n0 1\n255\n")
+        with pytest.raises(GridFormatError, match="bad PGM dimensions 0x1$"):
+            load_grid(path)
+
     def test_bad_maxval_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_text("P2\n1 1\n0\n0\n")
@@ -455,15 +465,45 @@ class TestCsv:
         with pytest.raises(GridFormatError, match=r"g\.csv: not UTF-8 text"):
             load_grid(path)
 
-    def test_format_override_beats_extension(self, tmp_path):
-        path = tmp_path / "grid.dat"
-        path.write_text("0.25,0.75\n")
-        assert load_grid(path, "csv").tolist() == [[0.25, 0.75]]
 
-    def test_unknown_extension_without_format_rejected(self, tmp_path):
-        path = tmp_path / "grid.dat"
-        path.write_text("0.25\n")
-        with pytest.raises(ValueError, match="cannot infer"):
+class TestReadByContent:
+    """The first header token, not the file name, picks the reader."""
+
+    @pytest.mark.parametrize("name", ["grid.dat", "grid.pgm", "grid"])
+    def test_csv_grid_loads_under_any_name(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("0.25,0.75\n")
+        assert load_grid(path).tolist() == [[0.25, 0.75]]
+
+    @pytest.mark.parametrize("name", ["grid.csv", "grid.dat", "grid"])
+    @pytest.mark.parametrize("content", [b"P2\n2 1\n255\n0 255\n", b"P5\n2 1\n255\n\x00\xff",
+                                         b"# scan\n P2 2 1 255 0 255"])
+    def test_pgm_loads_under_any_name(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert load_grid(path).tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"", "empty CSV grid"),
+        (b"\n", "line 1: unparseable cell"),
+        (b"255 0\n", "line 1: unparseable cell"),
+        (b"# P2\n2 1\n", "line 1: unparseable cell"),
+    ])
+    def test_pgm_name_without_magic_gets_the_csv_error(self, tmp_path, content, message):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(content)
+        with pytest.raises(GridFormatError, match=rf"g\.pgm: {message}$"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P3\n1 1\n255\n0 0 0\n", r"not a PGM file \(magic b'P3'\)"),
+        (b"P2\n", "truncated PGM header"),
+        (b"Pi,0.5\n", "truncated PGM header"),
+    ])
+    def test_csv_name_with_a_p_gets_the_pgm_error(self, tmp_path, content, message):
+        path = tmp_path / "g.csv"
+        path.write_bytes(content)
+        with pytest.raises(GridFormatError, match=rf"g\.csv: {message}$"):
             load_grid(path)
 
 
@@ -655,7 +695,7 @@ class TestAgainstTheOldParsers:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(p2_files())
     def test_p2_rasters(self, content):
-        new = _outcome(grid_module._read_pgm_samples, content, ".pgm")
+        new = _outcome(lambda p: grid_module._read_pgm_samples(p, p.read_bytes()), content, ".pgm")
         old = _outcome(reference_pgm_samples, content, ".pgm")
         event("loaded" if isinstance(old[0], np.ndarray) else old[0])
         if isinstance(old, tuple) and isinstance(old[0], np.ndarray):
@@ -673,7 +713,7 @@ class TestAgainstTheOldParsers:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(csv_files())
     def test_csv_grids(self, content):
-        new = _outcome(grid_module._read_csv_grid, content, ".csv")
+        new = _outcome(lambda p: grid_module._read_csv_grid(p, p.read_bytes()), content, ".csv")
         old = _outcome(reference_csv_grid, content, ".csv")
         event("loaded" if isinstance(old, np.ndarray) else old[0])
         if isinstance(old, np.ndarray):

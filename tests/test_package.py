@@ -122,6 +122,20 @@ def test_assignment_subcommands_load_no_scipy_sparse(tmp_path, command):
     assert json.loads(line) == [0, []]
 
 
+def test_grad_check_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique imports numpy.ma on its first call; grad-check dedupes without it."""
+    rng = np.random.default_rng(18)
+    save_grid_csv(rng.uniform(0.1, 0.9, size=(5, 5)), tmp_path / "s.csv")
+    save_grid_csv(rng.uniform(0.1, 0.9, size=(5, 5)), tmp_path / "t.csv")
+    line = _run_fresh(tmp_path, """
+        import json
+        import topokit.cli
+        code = topokit.cli.main(["grad-check", "--student", "s.csv", "--teacher", "t.csv"])
+        print(json.dumps([code, "numpy.ma" in sys.modules]))
+    """)
+    assert json.loads(line) == [0, False]
+
+
 @pytest.mark.parametrize("public_first", [False, True])
 def test_kernel_functions_are_the_public_ones(tmp_path, public_first):
     public = "import scipy.optimize, scipy.sparse.csgraph, scipy.ndimage._measurements"

@@ -541,6 +541,14 @@ class TestComputeDiagrams:
             assert diagram == fresh_diagram(grid, direction, connectivity)
             assert diagram.dots == loop_diagram(grid, direction, connectivity).dots
 
+    @pytest.mark.parametrize("direction, connectivity, message", [
+        ("up", 4, r"direction must be one of \('sublevel', 'superlevel'\), got 'up'"),
+        (SUBLEVEL, 6, "connectivity must be 4 or 8, got 6"),
+    ])
+    def test_bad_direction_and_connectivity_rejected(self, direction, connectivity, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_diagrams([np.full((2, 2), 0.5)], direction, connectivity)
+
     def test_hits_and_misses_in_one_batch(self):
         rng = np.random.default_rng(11)
         a, b, c = (random_distinct_grid(rng, 6, 7) for _ in range(3))
