@@ -14,7 +14,7 @@ only. The assignment solver comes straight from scipy's compiled module
 matching is topokit's own Hopcroft-Karp and loads no scipy module.
 """
 
-from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose, total_persistence
+from .diagram import DEFAULT_PHI, DecomposedDiagram, decompose
 from .grid import (
     SUBLEVEL,
     SUPERLEVEL,
@@ -45,7 +45,6 @@ from .metrics import MetricReport, betti_error, betti_matching_error, compute_me
 from .persistence import (
     PersistenceDiagram,
     PersistentDot,
-    betti_curve,
     compute_diagram,
     compute_diagrams,
     load_diagram_csv,
@@ -68,12 +67,12 @@ __all__ = [
     "ComponentLabeling", "DecomposedDiagram", "DiagramMatching", "GridFormatError",
     "LabeledSupervision", "MetricReport", "PersistenceDiagram", "PersistentDot",
     "StepRecord", "TopoLossReport", "TrainConfig", "TrainTrace",
-    "as_likelihood", "as_mask", "betti_curve", "betti_error", "betti_matching_error",
+    "as_likelihood", "as_mask", "betti_error", "betti_matching_error",
     "compute_diagram", "compute_diagrams", "compute_metrics", "cross_entropy_loss_and_gradient",
     "decompose", "dice_loss_and_gradient",
     "ema_update", "finite_difference_check", "label_components", "likelihood_to_logits",
     "load_diagram_csv", "load_grid", "load_mask_pgm", "match_diagrams", "ramp_up_weight",
     "run_simulation", "save_diagram_csv", "save_grid_csv", "save_grid_pgm", "save_mask_pgm",
-    "supervised_loss_and_gradient", "threshold", "topo_loss_and_gradient", "total_persistence",
+    "supervised_loss_and_gradient", "threshold", "topo_loss_and_gradient",
     "variation_of_information", "write_trace_csv",
 ]

@@ -57,12 +57,11 @@ kernel. It passes each grid through as_likelihood once, checks the direction, th
 connectivity and the shapes, and pairs the grids in one kernel call, stacked with
 a never-inserted separator row between them that ranks and lies like the border.
 Ranks are grid-major and the elder rule compares ranks only within a component, so
-each grid gets the dots, order and essential dot of a call on it alone. The stable
-argsort (an ndarray) and birth/death pixels of the two most recent pairings are
-remembered, and a grid with the same shape, connectivity and argsort reuses those
-pixels. Grids are looked up in turn: one whose argsort equals an earlier miss of
-its batch (a teacher equal to its student) reuses that pending pairing, and the
-memory ends as after one call per grid.
+each grid gets the dots, order and essential dot of a call on it alone. The last
+batch is remembered: its shape, connectivity, the stable argsort (an ndarray) of
+each grid and each grid's birth/death pixels. A batch of as many grids, of the same
+shape and connectivity and with equal argsorts in turn, reuses those pixels; any
+other batch is paired afresh, all of its grids in one kernel call, and replaces it.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
 splits its rows, and reads each cell with grid.strict_float or grid.strict_int
@@ -109,7 +108,7 @@ class PersistenceDiagram:
     """Dots as columns (see the module docstring); compute_diagram puts the essential dot last.
 
     The constructor takes numpy arrays of those dtypes and marks them read-only:
-    compute_diagram's pixel columns are the very arrays it remembers for reuse.
+    compute_diagram's pixel columns are the very arrays it remembers of the last batch.
     """
 
     birth: np.ndarray
@@ -145,13 +144,11 @@ class PersistenceDiagram:
                          self.birth_px.tolist(), death_px.tolist()))
 
 
-# The two most recent pairings, newest first: (h, w, connectivity), the stable
-# argsort as an ndarray, and the birth and death pixels _pair gave for it. Two
-# because topo_loss_and_gradient computes two diagrams per call, student and teacher.
-# Entries are never changed and the list is replaced whole, so a concurrent caller
-# can at worst drop an entry, never read a mixed one.
-_recent: list[tuple[tuple[int, int, int], np.ndarray, list[np.ndarray]]] = []
-_RECENT_SIZE = 2
+# The last batch: (h, w, connectivity, grid count), each grid's stable argsort as an
+# ndarray, and the birth and death pixels _pair gave for each; one batch because
+# topo_loss_and_gradient pairs student and teacher in one call. The tuple is replaced
+# whole, never changed, so a concurrent caller can at worst miss, never read a mix.
+_last: tuple[tuple[int, int, int, int], list[np.ndarray], list[tuple]] | None = None
 
 # Neighbour offsets (row, column): up, down, left, right, then the four diagonals.
 _SHIFTS = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -162,8 +159,8 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
 
     Finite dots are emitted in merge (death) order; the essential dot comes last.
     Deterministic: all ties are broken by row-major pixel index. The pairing depends
-    only on the shape, the connectivity and the stable argsort, so a remembered one is
-    reused and only the values are read from this grid, of which no reference is kept.
+    only on the shape, the connectivity and the stable argsort, so a matching last call's
+    is reused and only the values are read from this grid, of which no reference is kept.
     """
     return compute_diagrams((grid,), direction, connectivity)[0]
 
@@ -171,45 +168,42 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
 def compute_diagrams(grids, direction: str = SUBLEVEL,
                      connectivity: int = 4) -> list[PersistenceDiagram]:
     """compute_diagram of each grid, all of one shape, from at most one kernel call."""
+    global _last
     grids = [as_likelihood(grid) for grid in grids]
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    h, w = grids[0].shape if grids else (0, 0)
+    if not grids:
+        return []
+    h, w = grids[0].shape
     for grid in grids:
         if grid.shape != (h, w):
             raise ValueError(f"shape mismatch: {(h, w)} vs {grid.shape}")
-    flats, key, recent = [grid.ravel() for grid in grids], (h, w, connectivity), list(_recent)
-    found, missed = [], []  # per grid its pixels; per miss its order and the slot _pair fills
-    for flat in flats:
-        order = np.argsort(-flat if direction == SUPERLEVEL else flat, kind="stable")
-        for i, entry in enumerate(recent):
-            if entry[0] == key and np.array_equal(entry[1], order):
-                pixels = recent.pop(i)[2]
-                break
-        else:
-            pixels = []
-            missed.append((order, pixels))
-        found.append(pixels)
-        recent = [(key, order, pixels)] + recent[:_RECENT_SIZE - 1]
-    if missed:  # one kernel call over the misses, a separator row below each but the last
+    flats, k = [grid.ravel() for grid in grids], len(grids)
+    orders = [np.argsort(-f if direction == SUPERLEVEL else f, kind="stable") for f in flats]
+    key, last = (h, w, connectivity, k), _last  # _last read once: another call may replace it
+    if last and last[0] == key and all(map(np.array_equal, last[1], orders)):
+        pixels = last[2]
+    else:  # one kernel call over the batch, a separator row below each grid but the last
         stride = (h + 1) * w
-        stacked = missed[0][0] if len(missed) == 1 else np.concatenate(
-            [order + g * stride for g, (order, _) in enumerate(missed)])
-        birth_px, death_px = _pair(stacked, len(missed) * (h + 1) - 1, w, connectivity)
-        finite = death_px.size - len(missed)  # finite dots grid by grid, then the essential dots
-        cuts = np.searchsorted(death_px[:finite] // stride, np.arange(len(missed) + 1))
-        for g, (_, slot) in enumerate(missed):
+        stacked = orders[0] if k == 1 else np.concatenate(
+            [order + g * stride for g, order in enumerate(orders)])
+        birth_px, death_px = _pair(stacked, k * (h + 1) - 1, w, connectivity)
+        finite = death_px.size - k  # finite dots grid by grid, then the essential dots
+        cuts = np.searchsorted(death_px[:finite] // stride, np.arange(k + 1))
+        pixels = []
+        for g in range(k):
             dots = np.r_[cuts[g]:cuts[g + 1], finite + g]
-            slot[:] = birth_px[dots] - g * stride, np.append(death_px[dots[:-1]] - g * stride, -1)
+            pixels.append((birth_px[dots] - g * stride,
+                           np.append(death_px[dots[:-1]] - g * stride, -1)))
+        _last = key, orders, pixels
 
-    _recent[:] = recent
     diagrams = []
-    for flat, pixels in zip(flats, found):
-        death = flat[pixels[1]]  # the essential dot's -1 reads the last pixel, overwritten next
+    for flat, (birth_px, death_px) in zip(flats, pixels):
+        death = flat[death_px]  # the essential dot's -1 reads the last pixel, overwritten next
         death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
-        diagrams.append(PersistenceDiagram(flat[pixels[0]], death, *pixels))
+        diagrams.append(PersistenceDiagram(flat[birth_px], death, birth_px, death_px))
     return diagrams
 
 
@@ -367,19 +361,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     new[:1] = True
     np.not_equal(values[1:], values[:-1], out=new[1:])
     return np.flatnonzero(new)
-
-
-def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
-    """Number of components of the sublevel mask at threshold c.
-
-    Counts dots alive at c (birth <= c < death); the essential dot counts
-    whenever birth <= c, which also covers c = 1. Sublevel diagrams only.
-    """
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError(f"threshold must be finite, got {c}")
-    alive = (diagram.birth <= c) & ((c < diagram.death) | diagram.essential)
-    return int(np.count_nonzero(alive))
 
 
 # ---------------------------------------------------------------------------

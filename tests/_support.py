@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded grids, the diagram, matching and file-parser oracles."""
+"""Shared test helpers: seeded grids, the component-count curve, the diagram, matching and
+file-parser oracles."""
 
 from __future__ import annotations
 
@@ -34,6 +35,19 @@ def random_distinct_grid(rng, height: int, width: int,
     n = height * width
     values = np.linspace(lo, hi, n)
     return rng.permutation(values).reshape(height, width)
+
+
+def betti_curve(diagram: PersistenceDiagram, c: float) -> int:
+    """Number of components of the sublevel mask at threshold c.
+
+    Counts dots alive at c (birth <= c < death); the essential dot counts
+    whenever birth <= c, which also covers c = 1. Sublevel diagrams only.
+    """
+    c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"threshold must be finite, got {c}")
+    alive = (diagram.birth <= c) & ((c < diagram.death) | diagram.essential)
+    return int(np.count_nonzero(alive))
 
 
 def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:

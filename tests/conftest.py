@@ -4,6 +4,6 @@ from topokit import persistence
 
 
 @pytest.fixture(autouse=True)
-def _forget_recent_pairings():
-    """Start every test with no remembered pairing, so compute_diagram runs its loop."""
-    persistence._recent.clear()
+def _forget_the_last_batch():
+    """Start every test with no remembered batch, so compute_diagram runs its loop."""
+    persistence._last = None

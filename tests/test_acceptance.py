@@ -19,7 +19,7 @@ from topokit.metrics import (
     betti_matching_error,
     variation_of_information,
 )
-from topokit.persistence import betti_curve, compute_diagram
+from topokit.persistence import compute_diagram
 from topokit.scenarios import (
     noise_removal_grid,
     perturbed_student_logits,
@@ -33,6 +33,7 @@ from topokit.trainer import (
 )
 
 from _support import (
+    betti_curve,
     brute_bottleneck,
     brute_wasserstein,
     diagram_from_pairs,

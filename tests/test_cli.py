@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON shapes, byte-stable outputs."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -109,6 +110,19 @@ class TestTopLevel:
         bad.write_bytes(b"\xff\xfe0.5,0.1\n")
         argv = [str(bad)] if command == "pd" else [str(bad), str(bad)]
         code, out, err = run_cli(capsys, command, *argv)
+        assert_data_error(code, out, err)
+        assert err == f"error: {bad}: not UTF-8 text\n"
+
+    def test_non_utf8_byte_a_mebibyte_past_an_over_limit_field(self, capsys, tmp_path):
+        # csv.reader stops at the quoted field over its size limit, and the rest of the file
+        # is read on in 1 MiB pieces: the bad byte, in the second piece, is what is named.
+        field = '"0.' + "0" * csv.field_size_limit() + '9"'
+        rows = "".join(f"0.1,0.9,{i},{i + 1},0\n" for i in range(60_000))
+        assert len(rows) > 1 << 20
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(f"birth,death,birth_px,death_px,essential\n{field},0.9,3,4,0\n{rows}"
+                        .encode() + b"\xff\n")
+        code, out, err = run_cli(capsys, "wasserstein", str(bad), str(bad))
         assert_data_error(code, out, err)
         assert err == f"error: {bad}: not UTF-8 text\n"
 

@@ -1,11 +1,10 @@
-"""Signal/noise decomposition and total persistence."""
+"""Signal/noise decomposition."""
 
 import math
 
 import pytest
 
-from topokit.diagram import decompose, total_persistence
-from topokit.persistence import compute_diagram
+from topokit.diagram import decompose
 
 from _support import diagram_from_pairs
 
@@ -80,45 +79,3 @@ class TestDecompose:
         diagram = diagram_from_pairs([(0.5, 1.0)], essential_index=0)
         assert len(decompose(diagram, 0.7).noise.dots) == 1
         assert len(decompose(diagram, 0.3).signal.dots) == 1
-
-
-class TestTotalPersistence:
-    def test_single_dot_p2(self):
-        assert total_persistence(diagram_from_pairs([(0.4, 0.45)]), 2) == pytest.approx(0.05)
-
-    def test_empty_diagram(self):
-        assert total_persistence(diagram_from_pairs([]), 2) == 0.0
-
-    def test_two_dots_p1(self):
-        diagram = diagram_from_pairs([(0.2, 0.9), (0.4, 0.45)])
-        assert total_persistence(diagram, 1) == pytest.approx(0.75)
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            total_persistence(make_diagram(), 0.5)
-
-    def test_zero_iff_all_diagonal(self):
-        on_diag = diagram_from_pairs([(0.3, 0.3), (0.7, 0.7)])
-        off_diag = diagram_from_pairs([(0.3, 0.3), (0.69, 0.7)])
-        assert total_persistence(on_diag, 2) == 0.0
-        assert total_persistence(off_diag, 2) > 0.0
-
-    def test_p2_is_root_of_squared_sum(self):
-        diagram = diagram_from_pairs([(0.2, 0.9), (0.4, 0.45)])
-        expected = math.sqrt(0.7**2 + 0.05**2)
-        assert total_persistence(diagram, 2) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [1100, 3000, 1e6])
-    def test_large_order_does_not_underflow(self, p):
-        diagram = diagram_from_pairs([(0.25, 0.75), (0.25, 0.75)])  # 0.5 ** p underflows to 0
-        assert total_persistence(diagram, p) == pytest.approx(0.5 * 2 ** (1 / p), rel=1e-12)
-
-    def test_nan_order_rejected(self):
-        with pytest.raises(ValueError, match="order p"):
-            total_persistence(make_diagram(), math.nan)
-
-    def test_infinite_order_is_largest_persistence(self):
-        diagram = compute_diagram([[0.1, 0.9, 0.3], [0.8, 0.95, 0.7], [0.2, 0.85, 0.4]])
-        assert total_persistence(diagram, math.inf) == 1.0 - 0.1  # the essential dot
-        assert total_persistence(diagram_from_pairs([(0.2, 0.4)]), math.inf) == 0.4 - 0.2
-        assert total_persistence(diagram_from_pairs([]), math.inf) == 0.0

@@ -31,7 +31,6 @@ from topokit.grid import (
 from topokit.persistence import (
     PersistenceDiagram,
     PersistentDot,
-    betti_curve,
     compute_diagram,
     compute_diagrams,
     format_diagram_csv,
@@ -41,6 +40,7 @@ from topokit.persistence import (
 
 from _support import (
     ORACLE_PIXEL_LIMIT,
+    betti_curve,
     chain_grid,
     diagram_from_dots,
     loop_diagram,
@@ -256,13 +256,12 @@ class TestStructuralInvariants:
 
 
 def fresh_diagram(grid, direction, connectivity):
-    """compute_diagram with nothing remembered, leaving the remembered pairings as they were."""
-    saved = list(persistence._recent)
-    persistence._recent.clear()
+    """compute_diagram with nothing remembered, leaving the remembered batch as it was."""
+    saved, persistence._last = persistence._last, None
     try:
         return compute_diagram(grid, direction, connectivity)
     finally:
-        persistence._recent[:] = saved
+        persistence._last = saved
 
 
 def _base_grid(rng, kind, h, w):
@@ -335,7 +334,7 @@ class TestLoopReference:
 
 def _traced_peak(grid, direction, connectivity):
     """tracemalloc's peak over a compute_diagram call that pairs afresh."""
-    persistence._recent.clear()
+    persistence._last = None
     tracemalloc.start()
     try:
         compute_diagram(grid, direction, connectivity)
@@ -380,7 +379,7 @@ def _settled(grid, direction, connectivity):
         found.extend(result[0])
         return result
 
-    persistence._recent.clear()
+    persistence._last = None
     with mock.patch.object(persistence, "_union_find", spy):
         diagram = compute_diagram(grid, direction, connectivity)
     flat = -grid.ravel() if direction == SUPERLEVEL else grid.ravel()
@@ -457,34 +456,87 @@ class TestRecentPairings:
                  min_size=1, max_size=8),
     )
     def test_reuse_equals_recomputation(self, h, w, kind, direction, connectivity, seed, steps):
-        # Student and teacher alternate as in topo_loss_and_gradient; the first step
-        # rescales the student, which keeps its pixel order, so at least one call reuses.
-        persistence._recent.clear()
+        # Each step pairs student and teacher in one call, as topo_loss_and_gradient does;
+        # the second step rescales both, which keeps their pixel orders, so it reuses.
+        persistence._last = None
         rng = np.random.default_rng(seed)
         student, teacher = _base_grid(rng, kind, h, w), _base_grid(rng, kind, h, w)
         calls = 0
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as loop:
             for i, (op_s, op_t) in enumerate([("same", "same")] + steps):
                 student = _perturb(rng, kind, student, "rescale" if i == 1 else op_s)
-                teacher = _perturb(rng, kind, teacher, op_t)
-                for grid in (student, teacher):
-                    got = compute_diagram(grid, direction, connectivity)
-                    calls += 1
-                    assert got == fresh_diagram(grid, direction, connectivity)
-            hits = calls - (loop.call_count - calls)  # every fresh_diagram call runs the loop
+                teacher = _perturb(rng, kind, teacher, "rescale" if i == 1 else op_t)
+                got = compute_diagrams([student, teacher], direction, connectivity)
+                calls += 1
+                for diagram, grid in zip(got, (student, teacher), strict=True):
+                    assert diagram == fresh_diagram(grid, direction, connectivity)
+            hits = calls - (loop.call_count - 2 * calls)  # every fresh_diagram call runs the loop
         assert hits >= 1
 
-    def test_holds_at_most_two_entries(self):
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_repeated_batch_makes_no_kernel_call(self, direction, connectivity):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            compute_diagram(random_distinct_grid(rng, 4, 4))
-        assert len(persistence._recent) == 2
+        student, teacher = random_distinct_grid(rng, 6, 5), random_distinct_grid(rng, 6, 5)
+        first = compute_diagrams([student, teacher], direction, connectivity)
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            again = compute_diagrams([student, teacher], direction, connectivity)
+            assert compute_diagrams([], direction, connectivity) == []  # forgets nothing
+            scaled = compute_diagrams([0.5 * student, 0.9 * teacher],  # the same pixel orders
+                                      direction, connectivity)
+        assert kernel.call_count == 0
+        assert again == first
+        assert scaled == [fresh_diagram(0.5 * student, direction, connectivity),
+                          fresh_diagram(0.9 * teacher, direction, connectivity)]
+
+    @pytest.mark.parametrize("changed", [0, 1, 2])
+    def test_one_changed_order_pairs_the_whole_batch(self, changed):
+        rng = np.random.default_rng(11)
+        grids = [random_distinct_grid(rng, 6, 7) for _ in range(3)]
+        compute_diagrams(grids)
+        grids[changed] = grids[changed][::-1].copy()  # a new pixel order for one grid
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagrams(grids)
+        assert kernel.call_count == 1
+        assert len(kernel.call_args.args[0]) == 3 * 6 * 7
+        for diagram, grid in zip(got, grids, strict=True):
+            assert diagram == fresh_diagram(grid, SUBLEVEL, 4)
+
+    @pytest.mark.parametrize("batch, connectivity", [
+        ("a", 4), ("abb", 4), ("ba", 4), ("ab", 8), ("AB", 4)])
+    def test_other_length_order_shape_or_connectivity_misses(self, batch, connectivity):
+        # A and B are a and b with rows and columns swapped in the same flat order.
+        rng = np.random.default_rng(12)
+        a, b = random_distinct_grid(rng, 4, 6), random_distinct_grid(rng, 4, 6)
+        pool = {"a": a, "b": b, "A": a.reshape(6, 4), "B": b.reshape(6, 4)}
+        compute_diagrams([a, b])
+        grids = [pool[name] for name in batch]
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagrams(grids, SUBLEVEL, connectivity)
+        assert kernel.call_count == 1
+        for diagram, grid in zip(got, grids, strict=True):
+            assert diagram == fresh_diagram(grid, SUBLEVEL, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_equal_orders_across_directions_hit(self, connectivity):
+        # 1 - v ranks superlevel as v ranks sublevel: the pairing is reused and only the
+        # essential death follows the direction.
+        rng = np.random.default_rng(14)
+        student, teacher = random_distinct_grid(rng, 5, 6), random_distinct_grid(rng, 5, 6)
+        below = compute_diagrams([student, teacher], SUBLEVEL, connectivity)
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            above = compute_diagrams([1 - student, 1 - teacher], SUPERLEVEL, connectivity)
+        assert kernel.call_count == 0
+        for low, high, grid in zip(below, above, (1 - student, 1 - teacher), strict=True):
+            assert high == fresh_diagram(grid, SUPERLEVEL, connectivity)
+            assert (low.death[-1], high.death[-1]) == (1.0, 0.0)
+            assert np.array_equal(low.birth_px, high.birth_px)
 
     def test_grad_check_makes_one_kernel_call(self):
-        # Why _RECENT_SIZE is 2: finite_difference_check pairs the student with a fixed
-        # teacher, then probes the student one pixel at a time without changing its order.
-        # Two entries keep both orders, so every probe reuses them. A one-entry memo makes
-        # 3,147 kernel calls on this grid instead, and the check runs about 5x longer.
+        # finite_difference_check pairs the student with a fixed teacher in one batch, then
+        # probes the student one pixel at a time without changing its order, so every
+        # probe's batch reuses the first one's pairings. A memo of one grid, not one batch,
+        # makes 3,147 kernel calls on this grid instead, and the check runs about 5x longer.
         rng = np.random.default_rng(64)
         student, teacher = random_distinct_grid(rng, 64, 64), random_distinct_grid(rng, 64, 64)
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
@@ -513,11 +565,6 @@ class TestRecentPairings:
             assert got == fresh_diagram(grid, direction, connectivity)
 
 
-def _recent_state():
-    return [(key, order.tolist(), [px.tolist() for px in pixels])
-            for key, order, pixels in persistence._recent]
-
-
 class TestComputeDiagrams:
     """Several grids in one kernel call, stacked with a separator row between them."""
 
@@ -532,7 +579,7 @@ class TestComputeDiagrams:
     def test_batch_equals_each_grid_alone(self, shape, kinds, direction, connectivity, seed):
         rng = np.random.default_rng(seed)
         grids = [_base_grid(rng, kind, *shape) for kind in kinds]
-        persistence._recent.clear()
+        persistence._last = None
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
             got = compute_diagrams(grids, direction, connectivity)
         assert kernel.call_count == 1
@@ -549,47 +596,6 @@ class TestComputeDiagrams:
         with pytest.raises(ValueError, match=f"^{message}$"):
             compute_diagrams([np.full((2, 2), 0.5)], direction, connectivity)
 
-    def test_hits_and_misses_in_one_batch(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (random_distinct_grid(rng, 6, 7) for _ in range(3))
-        persistence._recent.clear()
-        compute_diagram(a)
-        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
-            got = compute_diagrams([b, 0.5 * a, c])  # 0.5 * a keeps a's pixel order
-        assert kernel.call_count == 1
-        assert len(kernel.call_args.args[0]) == 2 * a.size  # b and c only
-        for diagram, grid in zip(got, [b, 0.5 * a, c]):
-            assert diagram == fresh_diagram(grid, SUBLEVEL, 4)
-
-    def test_equal_orders_in_one_batch_share_one_pairing(self):
-        # Teacher equal to student, as in noise removal: the second grid reuses the
-        # pairing still pending for the first.
-        grid = random_distinct_grid(np.random.default_rng(12), 8, 5)
-        persistence._recent.clear()
-        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
-            first, second = compute_diagrams([grid, 0.9 * grid])
-        assert kernel.call_count == 1
-        assert len(kernel.call_args.args[0]) == grid.size
-        assert first == fresh_diagram(grid, SUBLEVEL, 4)
-        assert second == fresh_diagram(0.9 * grid, SUBLEVEL, 4)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=4),
-           st.sampled_from([4, 8]))
-    def test_remembered_pairings_as_after_single_calls(self, batches, connectivity):
-        # Grids drawn from a pool of four, so batches meet remembered and pending pairings.
-        rng = np.random.default_rng(13)
-        pool = [_base_grid(rng, "ties4", 4, 3) for _ in range(4)]
-        persistence._recent.clear()
-        for batch in batches:
-            compute_diagrams([pool[i] for i in batch], SUBLEVEL, connectivity)
-        batched = _recent_state()
-        persistence._recent.clear()
-        for batch in batches:
-            for i in batch:
-                compute_diagram(pool[i], SUBLEVEL, connectivity)
-        assert batched == _recent_state()
-
     @pytest.mark.parametrize("name, calls", [("noise-removal", 31), ("three-basins", 1000)])
     def test_one_kernel_call_per_step_at_most(self, name, calls):
         # The bench scenarios at seed 1: noise removal reuses almost every pairing, while
@@ -605,7 +611,7 @@ class TestComputeDiagrams:
             config = TrainConfig(steps=500, learning_rate=0.1, ema_decay=0.0, phi=0.7,
                                  lambda_u2=1.0, ramp_k=0.0, strong_noise_sigma=0.0,
                                  noise_mode=NOISE_DIAGONAL, seed=0)
-        persistence._recent.clear()
+        persistence._last = None
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
             run_simulation(student, config, teacher_init_logits=teacher)
         assert kernel.call_count == calls
@@ -622,7 +628,7 @@ class TestComputeDiagrams:
                 "r": lambda: random_distinct_grid(rng, 9, 8)}
         grids = ([rng.random((1, 1)) for _ in range(3)] if kinds == "1x1"
                  else [make[kind]() for kind in kinds])
-        persistence._recent.clear()
+        persistence._last = None
         with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
             got = compute_diagrams(grids, direction, connectivity)
         assert kernel.call_count == 1
