@@ -60,8 +60,12 @@ Ranks are grid-major and the elder rule compares ranks only within a component, 
 each grid gets the dots, order and essential dot of a call on it alone. The last
 batch is remembered: its shape, connectivity, the stable argsort (an ndarray) of
 each grid and each grid's birth/death pixels. A batch of as many grids, of the same
-shape and connectivity and with equal argsorts in turn, reuses those pixels; any
-other batch is paired afresh, all of its grids in one kernel call, and replaces it.
+shape and connectivity, reuses those pixels when each remembered order is still
+the stable argsort of its new grid: the values it gathers never fall, and it rises
+inside every run of ties. That takes no sort. Any other batch is paired afresh, all
+of its grids in one kernel call, and replaces it. Its orders come from numpy's
+default argsort, whose tie runs, where there are any, are then sorted into pixel
+order, which gives the stable argsort. Both treat -0.0 and 0.0 as equal.
 
 load_diagram_csv streams the file through csv.reader, the only thing that
 splits its rows, and reads each cell with grid.strict_float or grid.strict_int
@@ -146,8 +150,9 @@ class PersistenceDiagram:
 
 # The last batch: (h, w, connectivity, grid count), each grid's stable argsort as an
 # ndarray, and the birth and death pixels _pair gave for each; one batch because
-# topo_loss_and_gradient pairs student and teacher in one call. The tuple is replaced
-# whole, never changed, so a concurrent caller can at worst miss, never read a mix.
+# topo_loss_and_gradient pairs student and teacher in one call. A later batch hits when
+# _still_orders holds for every remembered argsort and its new grid. The tuple is
+# replaced whole, never changed, so a concurrent caller can at worst miss, never read a mix.
 _last: tuple[tuple[int, int, int, int], list[np.ndarray], list[tuple]] | None = None
 
 # Neighbour offsets (row, column): up, down, left, right, then the four diagonals.
@@ -159,8 +164,10 @@ def compute_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> P
 
     Finite dots are emitted in merge (death) order; the essential dot comes last.
     Deterministic: all ties are broken by row-major pixel index. The pairing depends
-    only on the shape, the connectivity and the stable argsort, so a matching last call's
-    is reused and only the values are read from this grid, of which no reference is kept.
+    only on the shape, the connectivity and the stable argsort, so the last call's is
+    reused when its argsort still orders this grid (tested without a sort), and only the
+    values are read from this grid, of which no reference is kept. Otherwise the argsort
+    is numpy's default one with its tie runs sorted into pixel order.
     """
     return compute_diagrams((grid,), direction, connectivity)[0]
 
@@ -181,11 +188,13 @@ def compute_diagrams(grids, direction: str = SUBLEVEL,
         if grid.shape != (h, w):
             raise ValueError(f"shape mismatch: {(h, w)} vs {grid.shape}")
     flats, k = [grid.ravel() for grid in grids], len(grids)
-    orders = [np.argsort(-f if direction == SUPERLEVEL else f, kind="stable") for f in flats]
+    ranked = [-f for f in flats] if direction == SUPERLEVEL else flats
     key, last = (h, w, connectivity, k), _last  # _last read once: another call may replace it
-    if last and last[0] == key and all(map(np.array_equal, last[1], orders)):
+    if last and last[0] == key and all(map(_still_orders, last[1], ranked)):
         pixels = last[2]
     else:  # one kernel call over the batch, a separator row below each grid but the last
+        orders = list(map(_stable_order, ranked))
+        del ranked  # a superlevel batch's negated copies are not needed past the sort
         stride = (h + 1) * w
         stacked = orders[0] if k == 1 else np.concatenate(
             [order + g * stride for g, order in enumerate(orders)])
@@ -193,10 +202,13 @@ def compute_diagrams(grids, direction: str = SUBLEVEL,
         finite = death_px.size - k  # finite dots grid by grid, then the essential dots
         cuts = np.searchsorted(death_px[:finite] // stride, np.arange(k + 1))
         pixels = []
-        for g in range(k):
-            dots = np.r_[cuts[g]:cuts[g + 1], finite + g]
-            pixels.append((birth_px[dots] - g * stride,
-                           np.append(death_px[dots[:-1]] - g * stride, -1)))
+        for g in range(k):  # grid g's finite dots, then its essential dot
+            lo, hi, off = cuts[g], cuts[g + 1], g * stride
+            birth, death = np.empty(hi - lo + 1, np.int64), np.empty(hi - lo + 1, np.int64)
+            np.subtract(birth_px[lo:hi], off, out=birth[:-1])
+            np.subtract(death_px[lo:hi], off, out=death[:-1])
+            birth[-1], death[-1] = birth_px[finite + g] - off, -1
+            pixels.append((birth, death))
         _last = key, orders, pixels
 
     diagrams = []
@@ -205,6 +217,45 @@ def compute_diagrams(grids, direction: str = SUBLEVEL,
         death[-1] = 0.0 if direction == SUPERLEVEL else 1.0
         diagrams.append(PersistenceDiagram(flat[birth_px], death, birth_px, death_px))
     return diagrams
+
+
+def _still_orders(order: np.ndarray, values: np.ndarray) -> bool:
+    """Whether order is the stable argsort of values, given that it is a permutation.
+
+    The stable argsort is the one permutation sorted by (value, pixel), so order is it
+    exactly when values[order] never falls and order rises inside every run of ties.
+    """
+    seen = values[order]
+    if not (seen[1:] >= seen[:-1]).all():
+        return False
+    tie = seen[1:] == seen[:-1]
+    return not tie.any() or bool((order[1:][tie] > order[:-1][tie]).all())
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """The stable argsort of values, from numpy's default (unstable) argsort.
+
+    Only when the values tie anywhere, each tie run is put in pixel order: the int64
+    keys run << bits | pixel, with run the index of the tie run along the sorted values
+    and 2**bits >= n, are distinct and below 2**62 (n < 2**31, as _pair's int32 ranks
+    need), and sorting them sorts only within the runs.
+    """
+    order = np.argsort(values)
+    seen = values[order]
+    new_run = seen[1:] != seen[:-1]
+    del seen
+    if new_run.all():
+        return order
+    keys = np.zeros(order.size, np.int64)
+    np.cumsum(new_run, out=keys[1:])
+    del new_run
+    bits = (order.size - 1).bit_length()
+    keys <<= bits
+    keys |= order
+    del order
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return keys
 
 
 def _pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:

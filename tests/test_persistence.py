@@ -353,10 +353,12 @@ def _stacked(grids, direction):
 
 
 def _bench_grid(name):
-    """The kinds of grid the cli-grids benchmark pairs: uniform noise, blurred noise at 16
-    and 8 bits, 8 levels, and a sin-cos wave."""
+    """The kinds of grid the cli-grids benchmark pairs: uniform noise as floats and at 16
+    bits, blurred noise at 16 and 8 bits, 8 levels, and a sin-cos wave."""
     rng = np.random.default_rng(1)
     n = int(name.rsplit("-", 1)[1])
+    if name.startswith("random16"):
+        return np.rint(rng.random((n, n)) * 65535) / 65535
     if name.startswith("random"):
         return rng.random((n, n))
     if name.startswith("level8"):
@@ -479,12 +481,15 @@ class TestRecentPairings:
         rng = np.random.default_rng(3)
         student, teacher = random_distinct_grid(rng, 6, 5), random_distinct_grid(rng, 6, 5)
         first = compute_diagrams([student, teacher], direction, connectivity)
-        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel, \
+                mock.patch.object(persistence, "_stable_order",
+                                  wraps=persistence._stable_order) as sort:
             again = compute_diagrams([student, teacher], direction, connectivity)
             assert compute_diagrams([], direction, connectivity) == []  # forgets nothing
             scaled = compute_diagrams([0.5 * student, 0.9 * teacher],  # the same pixel orders
                                       direction, connectivity)
         assert kernel.call_count == 0
+        assert sort.call_count == 0  # a hit is told from the remembered orders alone
         assert again == first
         assert scaled == [fresh_diagram(0.5 * student, direction, connectivity),
                           fresh_diagram(0.9 * teacher, direction, connectivity)]
@@ -535,13 +540,53 @@ class TestRecentPairings:
     def test_grad_check_makes_one_kernel_call(self):
         # finite_difference_check pairs the student with a fixed teacher in one batch, then
         # probes the student one pixel at a time without changing its order, so every
-        # probe's batch reuses the first one's pairings. A memo of one grid, not one batch,
-        # makes 3,147 kernel calls on this grid instead, and the check runs about 5x longer.
+        # probe's batch reuses the first one's pairings, and the remembered orders pass
+        # the hit test without a sort: the first batch sorts its two grids, no probe
+        # sorts. A memo of one grid, not one batch, makes 3,147 kernel calls on this grid
+        # instead, and the check runs about 5x longer.
         rng = np.random.default_rng(64)
         student, teacher = random_distinct_grid(rng, 64, 64), random_distinct_grid(rng, 64, 64)
-        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel, \
+                mock.patch.object(persistence, "_stable_order",
+                                  wraps=persistence._stable_order) as sort:
             finite_difference_check(student, teacher)
         assert kernel.call_count == 1
+        assert sort.call_count == 2
+
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    @pytest.mark.parametrize("rising, calls", [(True, 0), (False, 1)])
+    def test_a_new_tie_hits_only_in_pixel_order(self, direction, rising, calls):
+        # Two pixels next to each other in the order come to tie: the stable order keeps
+        # them when the first has the smaller index, and swaps them when it has the larger.
+        grid = random_distinct_grid(np.random.default_rng(16), 7, 6)
+        ranked = -grid.ravel() if direction == SUPERLEVEL else grid.ravel()
+        order = np.argsort(ranked, kind="stable")
+        compute_diagram(grid, direction)
+        i = next(i for i in range(order.size - 1) if (order[i] < order[i + 1]) == rising)
+        tied = grid.copy()
+        tied.flat[order[i + 1]] = grid.flat[order[i]]
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagram(tied, direction)
+        assert kernel.call_count == calls
+        assert got == fresh_diagram(tied, direction, 4)
+
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    def test_flipping_the_sign_of_a_zero_hits(self, direction):
+        # -0.0 ties with 0.0, so the stable order and the pairing are kept; the dot values
+        # are read from the new grid, sign bits included.
+        grid = np.random.default_rng(17).integers(0, 3, (6, 7)) / 2.0
+        compute_diagram(grid, direction)
+        flipped = grid.copy()
+        flipped[::2][flipped[::2] == 0.0] = -0.0
+        assert np.signbit(flipped).any()
+        with mock.patch.object(persistence, "_pair", wraps=persistence._pair) as kernel:
+            got = compute_diagram(flipped, direction)
+        assert kernel.call_count == 0
+        want = fresh_diagram(flipped, direction, 4)
+        assert got == want
+        for column in ("birth", "death"):
+            assert np.array_equal(np.signbit(getattr(got, column)),
+                                  np.signbit(getattr(want, column)))
 
     def test_mutating_the_input_after_a_call(self):
         grid = random_distinct_grid(np.random.default_rng(5), 6, 6)
@@ -563,6 +608,66 @@ class TestRecentPairings:
                                               (np.full((3, 2), 0.5), SUPERLEVEL, 4)]:
             got = compute_diagram(grid, direction, connectivity)
             assert got == fresh_diagram(grid, direction, connectivity)
+
+
+@st.composite
+def ranked_values(draw):
+    """The flat values compute_diagrams orders: a grid of 1 x 1 up to 8 x 8 or 1 x 30
+    pixels at 2, 3 or 5 levels or as floats, zeros of either sign, negated for the
+    superlevel direction."""
+    h, w = draw(st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                          st.tuples(st.just(1), st.integers(1, 30))))
+    levels = draw(st.sampled_from([2, 3, 5, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.random(h * w) if levels is None else rng.integers(0, levels, h * w) / (levels - 1)
+    flat[(flat == 0.0) & (rng.random(h * w) < 0.5)] = -0.0
+    event(f"levels={levels}")
+    return -flat if draw(st.sampled_from([SUBLEVEL, SUPERLEVEL])) == SUPERLEVEL else flat
+
+
+class TestPixelOrder:
+    """_stable_order (a miss) and _still_orders (the hit test) against the stable argsort."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ranked_values())
+    def test_miss_order_is_the_stable_argsort(self, values):
+        got, want = persistence._stable_order(values), np.argsort(values, kind="stable")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ranked_values(), st.sampled_from(["stable", "swap", "other", "shuffled"]),
+           st.integers(0, 2**32 - 1))
+    def test_hit_test_is_equality_with_the_stable_argsort(self, values, kind, seed):
+        rng = np.random.default_rng(seed)
+        stable = np.argsort(values, kind="stable")
+        order = stable.copy()
+        if kind == "swap" and order.size > 1:  # two neighbours in the order, tied or not
+            i = rng.integers(order.size - 1)
+            order[i:i + 2] = order[i + 1], order[i]
+        elif kind == "other":  # the stable order of other values of the same kind
+            order = np.argsort(rng.permutation(values), kind="stable")
+        elif kind == "shuffled":
+            order = rng.permutation(order.size)
+        event(kind)
+        assert persistence._still_orders(order, values) == np.array_equal(order, stable)
+
+    @pytest.mark.parametrize("direction", [SUBLEVEL, SUPERLEVEL])
+    @pytest.mark.parametrize("name", ["random-1024", "random16-1024", "smooth-1024",
+                                      "bit8-1024"])
+    def test_bench_shaped_grids(self, name, direction):
+        flat = _bench_grid(name).ravel()
+        values = -flat if direction == SUPERLEVEL else flat
+        stable = np.argsort(values, kind="stable")
+        assert np.array_equal(persistence._stable_order(values), stable)
+        assert persistence._still_orders(stable, values)
+        seen = values[stable]
+        for tie in (True, False):  # two neighbours in the order swapped, tied and not
+            i = np.flatnonzero((seen[1:] == seen[:-1]) == tie)[:1]
+            if i.size:
+                swapped = stable.copy()
+                swapped[[i[0], i[0] + 1]] = stable[[i[0] + 1, i[0]]]
+                assert not persistence._still_orders(swapped, values)
 
 
 class TestComputeDiagrams:
