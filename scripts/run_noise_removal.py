@@ -9,8 +9,7 @@ diagram decomposition, and writes the per-step trace as CSV.
 
 Each side of a decomposition is a diagram of numpy columns, one row per
 dot: birth, death, birth_px and death_px, with death_px -1 for the
-essential dot. The printout reads those columns; diagram.dots would build
-the same rows as PersistentDot objects.
+essential dot. The printout reads those columns.
 """
 
 import argparse

@@ -44,7 +44,6 @@ from .matching import DIAGONAL, DiagramMatching, match_diagrams
 from .metrics import MetricReport, betti_error, betti_matching_error, compute_metrics, variation_of_information
 from .persistence import (
     PersistenceDiagram,
-    PersistentDot,
     compute_diagram,
     compute_diagrams,
     load_diagram_csv,
@@ -65,7 +64,7 @@ from .trainer import (
 __all__ = [
     "DEFAULT_PHI", "DIAGONAL", "NOISE_DIAGONAL", "NOISE_SQUARED", "SUBLEVEL", "SUPERLEVEL",
     "ComponentLabeling", "DecomposedDiagram", "DiagramMatching", "GridFormatError",
-    "LabeledSupervision", "MetricReport", "PersistenceDiagram", "PersistentDot",
+    "LabeledSupervision", "MetricReport", "PersistenceDiagram",
     "StepRecord", "TopoLossReport", "TrainConfig", "TrainTrace",
     "as_likelihood", "as_mask", "betti_error", "betti_matching_error",
     "compute_diagram", "compute_diagrams", "compute_metrics", "cross_entropy_loss_and_gradient",

@@ -21,8 +21,6 @@ supported only on critical pixels; contributions at a shared pixel add up.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +128,9 @@ def topo_loss_and_gradient(student, teacher, phi: float = DEFAULT_PHI,
 
 def _sum_in_order(*columns: np.ndarray) -> float:
     """0.0 plus each dot's entries in column order, dot after dot (np.sum would add pairwise)."""
-    return functools.reduce(operator.add, np.array(columns).T.ravel().tolist(), 0.0)
+    entries = np.zeros(1 + len(columns) * len(columns[0]))  # accumulate adds them one at a time
+    entries[1:].reshape(-1, len(columns)).T[...] = columns
+    return float(np.add.accumulate(entries)[-1])
 
 
 def finite_difference_check(student, teacher, phi: float = DEFAULT_PHI,

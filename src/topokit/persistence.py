@@ -50,7 +50,7 @@ death is 0.0. Critical pixels always carry the exact source grid value.
 
 A diagram is four read-only numpy columns, one row per dot: birth and death
 (float64), birth_px and death_px (int64), with death_px -1 for the essential
-dot. Its dots property is a derived view that builds PersistentDot objects.
+dot. Its dots property, PersistentDot rows, serves bench/tracing.py until the next bench change.
 
 compute_diagrams, which compute_diagram calls on one grid, is the one path to the
 kernel. It passes each grid through as_likelihood once, checks the direction, the
@@ -99,7 +99,8 @@ DIAGRAM_CSV_HEADER = ["birth", "death", "birth_px", "death_px", "essential"]
 
 @dataclass(frozen=True)
 class PersistentDot:
-    """One row of a PersistenceDiagram, with death_pixel None for the essential dot."""
+    """One diagram row, death_pixel None for the essential dot. Kept only for
+    bench/tracing.py's counts; it goes with the next benchmark change."""
 
     birth: float
     death: float
@@ -142,7 +143,7 @@ class PersistenceDiagram:
 
     @property
     def dots(self) -> tuple[PersistentDot, ...]:
-        """The rows as PersistentDot objects, built on each access."""
+        """PersistentDot rows, built on each access, for bench/tracing.py until its next change."""
         death_px = np.where(self.essential, None, self.death_px)
         return tuple(map(PersistentDot, self.birth.tolist(), self.death.tolist(),
                          self.birth_px.tolist(), death_px.tolist()))

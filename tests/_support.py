@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topokit.grid import SUBLEVEL, SUPERLEVEL, GridFormatError, as_likelihood
 from topokit.matching import _pairs_from_assignment
-from topokit.persistence import _SHIFTS, DIAGRAM_CSV_HEADER, PersistenceDiagram, PersistentDot, _run_starts
+from topokit.persistence import _SHIFTS, DIAGRAM_CSV_HEADER, PersistenceDiagram, _run_starts
 
 ORACLE_PIXEL_LIMIT = 400
 _CHUNK = 1 << 14  # elements per tolist() call in walk_pair
@@ -69,7 +69,7 @@ def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
     order = np.argsort(flat, kind="stable").tolist()
     mask = np.zeros((h, w), dtype=bool)
     comps: dict[int, float] = {}  # birth pixel -> birth value
-    dots: list[PersistentDot] = []
+    rows: list[tuple] = []  # (birth, death, birth_px, death_px), death_px -1 for the essential dot
 
     for px in order:
         mask.flat[px] = True
@@ -82,14 +82,14 @@ def oracle_diagram(grid, connectivity: int = 4) -> PersistenceDiagram:
             elder = min(members, key=lambda bp: (comps[bp], bp))
             for bp in members:
                 if bp != elder:
-                    dots.append(PersistentDot(comps[bp], float(flat[px]), bp, px))
+                    rows.append((comps[bp], float(flat[px]), bp, px))
                     del comps[bp]
         if int(lab[px]) not in groups:
             comps[px] = float(flat[px])
 
     (ess_px, ess_birth), = comps.items()
-    dots.append(PersistentDot(ess_birth, 1.0, ess_px))
-    return diagram_from_dots(dots)
+    rows.append((ess_birth, 1.0, ess_px, -1))
+    return diagram_from_rows(rows)
 
 
 def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> PersistenceDiagram:
@@ -110,7 +110,7 @@ def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> Pers
     offsets = (-fw, fw, -1, 1, -fw - 1, -fw + 1, fw - 1, fw + 1)[:connectivity]
     parent = [-1] * (fw * (h + 2))  # -1 marks a cell not yet inserted
     birth = [0] * len(parent)  # at a root: the rank of its component's first pixel
-    dots: list[PersistentDot] = []
+    rows: list[tuple] = []  # (birth, death, birth_px, death_px), death_px -1 for the essential dot
 
     for i, px in enumerate(order):
         cell = px + 2 * (px // w) + fw + 1
@@ -133,13 +133,13 @@ def loop_diagram(grid, direction: str = SUBLEVEL, connectivity: int = 4) -> Pers
             for q in roots:
                 if q != elder:
                     bp = order[birth[q]]
-                    dots.append(PersistentDot(flat_l[bp], flat_l[px], bp, px))
+                    rows.append((flat_l[bp], flat_l[px], bp, px))
                     parent[q] = elder
         parent[cell] = elder
 
     ess_px = order[0]  # global minimum under the tie-broken order never dies
-    dots.append(PersistentDot(flat_l[ess_px], 0.0 if direction == SUPERLEVEL else 1.0, ess_px))
-    return diagram_from_dots(dots)
+    rows.append((flat_l[ess_px], 0.0 if direction == SUPERLEVEL else 1.0, ess_px, -1))
+    return diagram_from_rows(rows)
 
 
 def walk_pair(order: np.ndarray, h: int, w: int, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,19 +286,23 @@ def chain_grid(n: int) -> np.ndarray:
     return grid
 
 
-def diagram_from_dots(dots) -> PersistenceDiagram:
-    """The diagram whose rows are the given PersistentDots; no death pixel reads -1."""
-    rows = [(d.birth, d.death, d.birth_pixel, -1 if d.death_pixel is None else d.death_pixel)
-            for d in dots]
+def diagram_from_rows(rows: list) -> PersistenceDiagram:
+    """The diagram whose rows are the given (birth, death, birth_px, death_px) tuples, with
+    death_px -1 for an essential dot."""
     columns = zip(*rows) if rows else ((),) * 4
     return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))
 
 
+def dot_tuples(diagram: PersistenceDiagram) -> list:
+    """The diagram's (birth, death, birth_px, death_px) rows, sorted."""
+    return sorted(zip(diagram.birth.tolist(), diagram.death.tolist(),
+                      diagram.birth_px.tolist(), diagram.death_px.tolist()))
+
+
 def diagram_from_pairs(pairs, essential_index: int | None = None) -> PersistenceDiagram:
     """Wrap bare (birth, death) pairs in a diagram with dummy pixel indices."""
-    return diagram_from_dots(
-        PersistentDot(float(b), float(d), i, None if i == essential_index else 1000 + i)
-        for i, (b, d) in enumerate(pairs))
+    return diagram_from_rows([(float(b), float(d), i, -1 if i == essential_index else 1000 + i)
+                              for i, (b, d) in enumerate(pairs)])
 
 
 def random_diagram_pairs(rng, max_dots: int = 4):
@@ -595,5 +599,4 @@ def reference_diagram_csv(path) -> PersistenceDiagram:
         if essential != (death_px is None):
             raise GridFormatError(f"{path}: line {ln}: essential flag and death_px disagree")
         dots.append((birth, death, birth_px, -1 if death_px is None else death_px))
-    columns = zip(*dots) if dots else ((),) * 4
-    return PersistenceDiagram(*map(np.array, columns, (np.float64, np.float64, np.int64, np.int64)))
+    return diagram_from_rows(dots)

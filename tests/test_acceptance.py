@@ -50,7 +50,7 @@ def _distinct_uniform_grid(rng, shape):
 
 
 def _dot_multiset(diagram):
-    return sorted((dot.birth, dot.death) for dot in diagram.dots)
+    return sorted(zip(diagram.birth.tolist(), diagram.death.tolist()))
 
 
 # -- consistency-training run shared by criteria 8 and 10 ---------------------
@@ -109,8 +109,8 @@ def test_criterion_02_betti_curve_matches_component_counts():
 
 def test_criterion_03_quad_grid_finite_dot():
     diagram = compute_diagram(np.array([[0.42, 0.46, 0.30, 0.90]]))
-    finite = [(d.birth, d.death) for d in diagram.dots if d.death_pixel is not None]
-    assert finite == [(0.42, 0.46)]
+    finite = ~diagram.essential
+    assert list(zip(diagram.birth[finite].tolist(), diagram.death[finite].tolist())) == [(0.42, 0.46)]
 
 
 def test_criterion_04_wasserstein_metric_axioms_and_brute_force():
@@ -192,8 +192,8 @@ def test_criterion_07_noise_removal_flattens_all_dents():
     start = time.perf_counter()
     grid = noise_removal_grid()
     before = decompose(compute_diagram(grid), 0.7)
-    assert len(before.signal.dots) == 3
-    assert len(before.noise.dots) == 10
+    assert len(before.signal) == 3
+    assert len(before.noise) == 10
     assert (before.noise.persistence < 0.7).all()
 
     config = TrainConfig(
@@ -211,7 +211,7 @@ def test_criterion_07_noise_removal_flattens_all_dents():
     assert all(r.cons_loss == 0.0 for r in trace.records)
 
     after = decompose(compute_diagram(trace.final_student), 0.7)
-    assert len(after.signal.dots) == 3
+    assert len(after.signal) == 3
     assert not (after.noise.persistence > 1e-3).any()
     assert time.perf_counter() - start < 60.0
 

@@ -245,7 +245,7 @@ class TestPd:
         assert code == 0
         assert out == ""
         diagram = load_diagram_csv(out_path)
-        assert len(diagram.dots) == 2
+        assert len(diagram) == 2
         assert diagram.birth[diagram.essential].tolist() == [pytest.approx(0.3)]
 
     @pytest.mark.parametrize("direction,connectivity", [("sublevel", "4"), ("superlevel", "8")])
@@ -332,8 +332,8 @@ class TestDecompose:
         payload = json.loads(out)
         assert list(payload.keys()) == ["signal_dots", "noise_dots", "phi"]
         assert payload == {"signal_dots": 1, "noise_dots": 1, "phi": 0.2}
-        assert len(load_diagram_csv(signal).dots) == 1
-        assert len(load_diagram_csv(noise).dots) == 1
+        assert len(load_diagram_csv(signal)) == 1
+        assert len(load_diagram_csv(noise)) == 1
 
     @pytest.mark.parametrize("phi", NON_FINITE)
     def test_non_finite_phi_returns_two(self, capsys, tmp_path, quad_grid, phi):

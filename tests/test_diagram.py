@@ -6,7 +6,11 @@ import pytest
 
 from topokit.diagram import decompose
 
-from _support import diagram_from_pairs
+from _support import diagram_from_pairs, dot_tuples
+
+
+def pairs(diagram):
+    return list(zip(diagram.birth.tolist(), diagram.death.tolist()))
 
 
 def make_diagram():
@@ -30,30 +34,29 @@ class TestPersistenceOf:
 class TestDecompose:
     def test_worked_example(self):
         dec = decompose(make_diagram(), 0.2)
-        assert [(d.birth, d.death) for d in dec.signal.dots] == [(0.1, 1.0), (0.2, 0.9)]
-        assert [(d.birth, d.death) for d in dec.noise.dots] == [(0.4, 0.45)]
+        assert pairs(dec.signal) == [(0.1, 1.0), (0.2, 0.9)]
+        assert pairs(dec.noise) == [(0.4, 0.45)]
         assert dec.phi == 0.2
 
     def test_partition_is_exact(self):
         diagram = make_diagram()
         dec = decompose(diagram, 0.2)
-        combined = sorted(dec.signal.dots + dec.noise.dots, key=lambda d: d.birth)
-        assert combined == sorted(diagram.dots, key=lambda d: d.birth)
+        assert sorted(dot_tuples(dec.signal) + dot_tuples(dec.noise)) == dot_tuples(diagram)
 
     def test_phi_zero_noise_only_zero_persistence(self):
         dec = decompose(diagram_from_pairs([(0.3, 0.3), (0.2, 0.8)]), 0.0)
-        assert [(d.birth, d.death) for d in dec.noise.dots] == [(0.3, 0.3)]
-        assert [(d.birth, d.death) for d in dec.signal.dots] == [(0.2, 0.8)]
+        assert pairs(dec.noise) == [(0.3, 0.3)]
+        assert pairs(dec.signal) == [(0.2, 0.8)]
 
     def test_phi_one_signal_empty(self):
         dec = decompose(make_diagram(), 1.0)
-        assert len(dec.signal.dots) == 0
-        assert len(dec.noise.dots) == 3
+        assert len(dec.signal) == 0
+        assert len(dec.noise) == 3
 
     def test_persistence_equal_phi_is_noise(self):
         dec = decompose(diagram_from_pairs([(0.2, 0.9)]), 0.7)
-        assert len(dec.signal.dots) == 0
-        assert len(dec.noise.dots) == 1
+        assert len(dec.signal) == 0
+        assert len(dec.noise) == 1
 
     def test_negative_phi_rejected(self):
         with pytest.raises(ValueError):
@@ -70,12 +73,12 @@ class TestDecompose:
         )
         prev = None
         for phi in (0.0, 0.05, 0.3, 0.5, 0.9):
-            signal = {(d.birth, d.death) for d in decompose(diagram, phi).signal.dots}
+            signal = set(pairs(decompose(diagram, phi).signal))
             if prev is not None:
                 assert signal <= prev
             prev = signal
 
     def test_essential_participates_normally(self):
         diagram = diagram_from_pairs([(0.5, 1.0)], essential_index=0)
-        assert len(decompose(diagram, 0.7).noise.dots) == 1
-        assert len(decompose(diagram, 0.3).signal.dots) == 1
+        assert len(decompose(diagram, 0.7).noise) == 1
+        assert len(decompose(diagram, 0.3).signal) == 1

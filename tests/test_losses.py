@@ -1,16 +1,19 @@
 """Pixel and topological losses, analytic gradients, finite-difference check."""
 
+import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topokit.grid import GridFormatError
 from topokit.losses import (
     NOISE_DIAGONAL,
+    _sum_in_order,
     cross_entropy_loss_and_gradient,
     dice_loss_and_gradient,
     finite_difference_check,
@@ -195,10 +198,8 @@ class TestTopoConsistency:
             critical = set()
             for part in (report.student_decomposition.signal,
                          report.student_decomposition.noise):
-                for dot in part.dots:
-                    critical.add(dot.birth_pixel)
-                    if dot.death_pixel is not None:
-                        critical.add(dot.death_pixel)
+                critical.update(part.birth_px.tolist())
+                critical.update(part.death_px[~part.essential].tolist())
             assert set(np.flatnonzero(grad.ravel())) <= critical
 
     def test_loss_nonnegative_and_additive(self):
@@ -247,6 +248,33 @@ class TestTopoConsistency:
         teacher = rng.uniform(0.0, 1.0, (4, 4))
         report, _ = topo_loss_and_gradient(student, teacher, phi=float(rng.uniform(0, 1)))
         assert report.topo_loss >= 0.0
+
+
+def _reduce_in_order(*columns):
+    """The reference sum: a Python reduce over 0.0, then each dot's entries in column order."""
+    return functools.reduce(operator.add, np.array(columns).T.ravel().tolist(), 0.0)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 5e-324]),
+                     st.floats(-1e300, 1e300, allow_nan=False))
+
+
+class TestSumInOrder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), max_size=12))))
+    @example((1, []))
+    @example((3, []))
+    @example((1, [[-0.0]]))
+    @example((2, [[-0.0, -0.0], [-0.0, 0.0]]))
+    @example((3, [[1e16, 1.0, -1e16], [1.0, -1e16, 1e16]]))
+    def test_equals_the_python_reduce_bit_for_bit(self, case):
+        """Sequential from 0.0, so the signs of zero sums and the order of roundings agree."""
+        k, dots = case  # k columns, one row of k entries per dot
+        columns = [np.array([dot[j] for dot in dots], dtype=np.float64) for j in range(k)]
+        got, want = _sum_in_order(*columns), _reduce_in_order(*columns)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestFiniteDifferenceCheck:

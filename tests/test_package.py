@@ -1,6 +1,7 @@
 """The package's public namespace and what importing it costs."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import topokit
-from topokit import (compute_diagram, load_diagram_csv, match_diagrams, save_diagram_csv,
-                     save_grid_csv, save_mask_pgm)
+from topokit import (compute_diagram, decompose, load_diagram_csv, match_diagrams,
+                     save_diagram_csv, save_grid_csv, save_mask_pgm)
 
 SRC = Path(topokit.__file__).resolve().parent.parent
+ROOT = SRC.parent
 
 
 def _run_fresh(tmp_path, body: str) -> str:
@@ -29,6 +31,45 @@ def test_all_names_resolve_once():
     assert len(set(topokit.__all__)) == len(topokit.__all__)
     for name in topokit.__all__:
         assert getattr(topokit, name) is not None
+
+
+def test_dots_view_reads_the_columns(tmp_path):
+    """PersistenceDiagram.dots, the row view bench/tracing.py counts with, and no public name.
+
+    Every other reader uses the columns; the view and PersistentDot go with the next
+    benchmark change.
+    """
+    assert "PersistentDot" not in topokit.__all__ and not hasattr(topokit, "PersistentDot")
+    diagram = compute_diagram(np.random.default_rng(20).integers(0, 4, (6, 7)) / 3)  # zero dots
+    path = tmp_path / "d.csv"
+    save_diagram_csv(diagram, path)
+    empty_signal = decompose(diagram, 1.0)
+    assert len(empty_signal.signal) == 0 and 0 < diagram.essential.sum() < len(diagram)
+    for d in (diagram, empty_signal.signal, empty_signal.noise, load_diagram_csv(path)):
+        assert len(d.dots) == len(d)
+        columns = zip(d.birth.tolist(), d.death.tolist(), d.birth_px.tolist(), d.death_px.tolist())
+        for dot, (birth, death, birth_px, death_px) in zip(d.dots, columns, strict=True):
+            assert (dot.birth, dot.death, dot.birth_pixel) == (birth, death, birth_px)
+            assert dot.death_pixel == (None if death_px < 0 else death_px)
+    assert diagram.dots[-1].death_pixel is None
+    for split in (empty_signal, decompose(diagram, float(np.median(diagram.persistence)))):
+        joined = split.signal.dots + split.noise.dots  # tuples, so + concatenates
+        assert len(joined) == len(diagram)
+        assert sum(d.birth == d.death for d in joined) == np.count_nonzero(diagram.persistence == 0)
+        critical = {d.birth_pixel for d in joined} | {d.death_pixel for d in joined} - {None}
+        assert critical == set(diagram.birth_px.tolist()) | set(diagram.death_px.tolist()) - {-1}
+
+
+def test_only_the_benchmark_reads_the_dots_view():
+    """No source, script or test outside persistence.py and this file names the row view."""
+    view = re.compile(r"PersistentDot|\.dots\b")
+    allowed = {SRC / "topokit" / "persistence.py", Path(__file__).resolve()}
+    readers = [f"{path.relative_to(ROOT)}:{n}"
+               for top in ("src", "scripts", "tests") for path in sorted((ROOT / top).rglob("*.py"))
+               if path not in allowed
+               for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+               if view.search(line)]
+    assert readers == []
 
 
 def test_pd_and_decompose_never_load_scipy(tmp_path):

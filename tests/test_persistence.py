@@ -30,7 +30,6 @@ from topokit.grid import (
 )
 from topokit.persistence import (
     PersistenceDiagram,
-    PersistentDot,
     compute_diagram,
     compute_diagrams,
     format_diagram_csv,
@@ -42,7 +41,8 @@ from _support import (
     ORACLE_PIXEL_LIMIT,
     betti_curve,
     chain_grid,
-    diagram_from_dots,
+    diagram_from_rows,
+    dot_tuples,
     loop_diagram,
     oracle_diagram,
     random_distinct_grid,
@@ -55,23 +55,12 @@ HEADER = "birth,death,birth_px,death_px,essential\n"
 CHUNK = 1024  # the long-file tests put rows on both sides of its multiples
 
 
-def dot_tuples(diagram):
-    return sorted(zip(diagram.birth.tolist(), diagram.death.tolist(),
-                      diagram.birth_px.tolist(), diagram.death_px.tolist()))
-
-
 class TestWorkedExamples:
     def test_three_by_three(self):
         grid = [[0.1, 0.9, 0.2], [0.9, 0.9, 0.9], [0.9, 0.9, 0.9]]
         diagram = compute_diagram(grid)
         assert len(diagram) == 2
-        finite, essential = diagram.dots
-        assert (finite.birth, finite.death) == (0.2, 0.9)
-        assert finite.birth_pixel == 2
-        assert finite.death_pixel == 1
-        assert (essential.birth, essential.death) == (0.1, 1.0)
-        assert essential.birth_pixel == 0
-        assert essential.death_pixel is None
+        assert diagram == diagram_from_rows([(0.2, 0.9, 2, 1), (0.1, 1.0, 0, -1)])
         assert diagram.essential.tolist() == [False, True]
 
     def test_three_by_three_matches_oracle_exactly(self):
@@ -81,18 +70,12 @@ class TestWorkedExamples:
     def test_one_by_four_walkthrough(self):
         diagram = compute_diagram([[0.42, 0.46, 0.30, 0.90]])
         assert len(diagram) == 2
-        finite, essential = diagram.dots
-        assert (finite.birth, finite.death) == (0.42, 0.46)
-        assert finite.birth_pixel == 0
-        assert finite.death_pixel == 1
-        assert (essential.birth, essential.death) == (0.30, 1.0)
-        assert essential.birth_pixel == 2
+        assert diagram == diagram_from_rows([(0.42, 0.46, 0, 1), (0.30, 1.0, 2, -1)])
 
     def test_constant_grid_single_essential(self):
         diagram = compute_diagram(np.full((3, 5), 0.5))
         assert len(diagram) == 1
-        dot = diagram.dots[0]
-        assert (dot.birth, dot.death, dot.birth_pixel, dot.death_pixel) == (0.5, 1.0, 0, None)
+        assert diagram == diagram_from_rows([(0.5, 1.0, 0, -1)])
 
     def test_constant_two_by_two_oracle(self):
         grid = [[0.3, 0.3], [0.3, 0.3]]
@@ -104,7 +87,7 @@ class TestWorkedExamples:
         grid = random_distinct_grid(rng, 6, 6)
         diagram = compute_diagram(grid)
         assert diagram.essential.tolist() == [False] * (len(diagram) - 1) + [True]
-        assert diagram.dots[-1].death_pixel is None
+        assert diagram.death_px[-1] == -1
 
     def test_columns_are_read_only_and_survive_a_reuse(self):
         grid = random_distinct_grid(np.random.default_rng(4), 5, 6)
@@ -209,10 +192,10 @@ class TestStructuralInvariants:
         for direction in (SUBLEVEL, SUPERLEVEL):
             for _ in range(20):
                 grid = rng.uniform(0.0, 1.0, (7, 6))
-                for dot in compute_diagram(grid, direction).dots:
-                    assert grid.flat[dot.birth_pixel] == dot.birth
-                    if dot.death_pixel is not None:
-                        assert grid.flat[dot.death_pixel] == dot.death
+                diagram = compute_diagram(grid, direction)
+                assert np.array_equal(grid.flat[diagram.birth_px], diagram.birth)
+                finite = ~diagram.essential
+                assert np.array_equal(grid.flat[diagram.death_px[finite]], diagram.death[finite])
 
     def test_dot_count_equals_tie_broken_minima(self):
         rng = np.random.default_rng(29)
@@ -305,7 +288,7 @@ class TestLoopReference:
     def test_dots_equal_the_loop_in_order(self, shape, kind, direction, connectivity, seed):
         grid = _base_grid(np.random.default_rng(seed), kind, *shape)
         got = compute_diagram(grid, direction, connectivity)
-        assert got.dots == loop_diagram(grid, direction, connectivity).dots
+        assert got == loop_diagram(grid, direction, connectivity)
 
     def test_peak_memory_on_random_512(self):
         # The pixel-by-pixel loop peaked at 29.7 MiB here (Python lists of the argsort,
@@ -431,7 +414,7 @@ class TestMerge:
             rng = np.random.default_rng(seed)
             grid = np.where(rng.random((n, n)) < share, rng.random((n, n)), chain_grid(n))
             got, by_rounds, by_union_find = _settled(grid, direction, connectivity)
-            assert got.dots == loop_diagram(grid, direction, connectivity).dots
+            assert got == loop_diagram(grid, direction, connectivity)
             reached["rounds"] += by_rounds > 0
             reached["union-find"] += by_union_find > 0
 
@@ -691,7 +674,7 @@ class TestComputeDiagrams:
         assert len(got) == len(grids)
         for diagram, grid in zip(got, grids):
             assert diagram == fresh_diagram(grid, direction, connectivity)
-            assert diagram.dots == loop_diagram(grid, direction, connectivity).dots
+            assert diagram == loop_diagram(grid, direction, connectivity)
 
     @pytest.mark.parametrize("direction, connectivity, message", [
         ("up", 4, r"direction must be one of \('sublevel', 'superlevel'\), got 'up'"),
@@ -822,16 +805,17 @@ class TestFrozenBytes:
     def test_one_pixel_kills_three_in_neighbour_order(self):
         # Roots are met up, down, left, right; the elder is the arm with the smallest
         # pixel index (all arms tie at 0.25), and the others die in that order.
-        dots = compute_diagram(FROZEN_GRIDS["kill3-3x3"]).dots
-        assert [(d.birth_pixel, d.death_pixel) for d in dots] == [(7, 4), (3, 4), (5, 4), (1, None)]
+        diagram = compute_diagram(FROZEN_GRIDS["kill3-3x3"])
+        assert list(zip(diagram.birth_px.tolist(), diagram.death_px.tolist())) == \
+            [(7, 4), (3, 4), (5, 4), (1, -1)]
 
     def test_one_pixel_kills_three_in_scan_order_not_pairwise(self):
         # Arms: up born 0.1 (pixel 2), down 0.15 (22), left 0.25 (10), right 0.2 (14). The
         # centre's scan meets up, down, left, right; up is the elder, the others die in
         # scan order. Merging one edge at a time would kill left first: 10, 22, 14 in
         # offset order, or 10, 14, 22 taking the lowest neighbour first.
-        dots = compute_diagram(FROZEN_GRIDS["kill3-crossed-5x5"]).dots
-        assert [d.birth_pixel for d in dots if d.death_pixel == 12] == [22, 10, 14]
+        diagram = compute_diagram(FROZEN_GRIDS["kill3-crossed-5x5"])
+        assert diagram.birth_px[diagram.death_px == 12].tolist() == [22, 10, 14]
 
 
 ULP_CLOSE = sorted({float(x) for v in (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0)
@@ -845,10 +829,10 @@ class TestSuperlevel:
             grid = rng.uniform(0.0, 1.0, (6, 6))
             sup = compute_diagram(grid, SUPERLEVEL)
             ref = compute_diagram(1.0 - grid, SUBLEVEL)
-            got = sorted((round(d.birth, 12), round(d.death, 12)) for d in sup.dots)
-            want = sorted(
-                (round(1.0 - d.birth, 12), round(1.0 - d.death, 12)) for d in ref.dots
-            )
+            got = sorted((round(b, 12), round(d, 12))
+                         for b, d in zip(sup.birth.tolist(), sup.death.tolist()))
+            want = sorted((round(1.0 - b, 12), round(1.0 - d, 12))
+                          for b, d in zip(ref.birth.tolist(), ref.death.tolist()))
             assert got == want
 
     def test_values_ulps_apart_below_one_half_stay_distinct(self):
@@ -901,9 +885,10 @@ class TestDiagramCsv:
         death_px = np.append(rng.integers(0, 10**6, birth.size - 1), -1)
         diagram = PersistenceDiagram(birth, death, np.arange(birth.size), death_px)
         rows = format_diagram_csv(diagram).splitlines()[1:]
-        assert rows == [f"{format_real(d.birth)},{format_real(d.death)},{d.birth_pixel},"
-                        f"{'' if d.death_pixel is None else d.death_pixel},{int(d.death_pixel is None)}"
-                        for d in diagram.dots]
+        columns = (diagram.birth.tolist(), diagram.death.tolist(), diagram.birth_px.tolist(),
+                   diagram.death_px.tolist())
+        assert rows == [f"{format_real(b)},{format_real(d)},{bp},{'' if dp < 0 else dp},{int(dp < 0)}"
+                        for b, d, bp, dp in zip(*columns)]
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "dgm.csv"
@@ -929,17 +914,17 @@ class TestDiagramCsv:
             load_diagram_csv(path)
 
     def test_dot_without_death_pixel_is_essential_and_round_trips(self, tmp_path):
-        dot = PersistentDot(0.25, 1.0, 3)
+        diagram = diagram_from_rows([(0.25, 1.0, 3, -1)])
         path = tmp_path / "dgm.csv"
-        save_diagram_csv(diagram_from_dots([dot]), path)
+        save_diagram_csv(diagram, path)
         back = load_diagram_csv(path)
-        assert back.dots == (dot,)
+        assert back == diagram
         assert back.essential.tolist() == [True]
 
     def test_padding_spaces_accepted(self, tmp_path):
         path = tmp_path / "dgm.csv"
         path.write_text("birth,death,birth_px,death_px,essential\n 0.1 ,0.9, 3 ,4,0\n")
-        assert load_diagram_csv(path).dots == (PersistentDot(0.1, 0.9, 3, 4),)
+        assert load_diagram_csv(path) == diagram_from_rows([(0.1, 0.9, 3, 4)])
 
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "dgm.csv"
@@ -980,13 +965,13 @@ class TestDiagramCsv:
         path.write_text('"birth",death,birth_px,death_px,essential\r\n'
                         '"0.1",0.9,"3","4\n",0\r\n0.25,1,7,"",1\r\n')
         back = load_diagram_csv(path)
-        assert back.dots == (PersistentDot(0.1, 0.9, 3, 4), PersistentDot(0.25, 1.0, 7))
+        assert back == diagram_from_rows([(0.1, 0.9, 3, 4), (0.25, 1.0, 7, -1)])
         assert back.birth.flags.c_contiguous and back.death_px.dtype == np.int64
 
     def test_empty_line_inside_quotes_is_part_of_the_field(self, tmp_path):
         path = tmp_path / "dgm.csv"
         path.write_text('birth,death,birth_px,death_px,essential\n"0.1\n\n",0.9,3,4,0\n')
-        assert load_diagram_csv(path).dots == (PersistentDot(0.1, 0.9, 3, 4),)
+        assert load_diagram_csv(path) == diagram_from_rows([(0.1, 0.9, 3, 4)])
 
     @pytest.mark.parametrize("text, message", [
         ("0.1,0.9,3,4,0\n\n0.2,0.9,3,4,0\n", "line 3: expected 5 columns, got 0"),

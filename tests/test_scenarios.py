@@ -23,14 +23,14 @@ class TestNoiseRemovalGrid:
         assert grid.shape == (GRID_SIZE, GRID_SIZE)
         assert grid.min() >= 0.0 and grid.max() <= 1.0
         diagram = compute_diagram(grid)
-        assert len(diagram.dots) == 3 + DENT_COUNT
+        assert len(diagram) == 3 + DENT_COUNT
         assert diagram.birth[diagram.essential].tolist() == [pytest.approx(0.03, abs=1e-12)]
         assert diagram.death[diagram.essential].tolist() == [1.0]
 
     def test_decomposition_at_default_threshold(self):
         dec = decompose(compute_diagram(noise_removal_grid()), 0.7)
-        assert len(dec.signal.dots) == 3
-        assert len(dec.noise.dots) == DENT_COUNT
+        assert len(dec.signal) == 3
+        assert len(dec.noise) == DENT_COUNT
         noise_pers = sorted(round(p, 12) for p in dec.noise.persistence.tolist())
         assert noise_pers == pytest.approx(
             [0.111, 0.112, 0.113, 0.114, 0.115, 0.116, 0.117, 0.118, 0.119, 0.12],
@@ -48,12 +48,12 @@ class TestThreeBasinTeacher:
         grid = three_basin_teacher()
         assert grid.shape == (GRID_SIZE, GRID_SIZE)
         diagram = compute_diagram(grid)
-        assert len(diagram.dots) == 3
+        assert len(diagram) == 3
         pers = sorted(diagram.persistence.tolist())
         assert pers == pytest.approx([0.878, 0.882, 0.95], abs=1e-12)
         dec = decompose(diagram, 0.7)
-        assert len(dec.signal.dots) == 3
-        assert len(dec.noise.dots) == 0
+        assert len(dec.signal) == 3
+        assert len(dec.noise) == 0
 
     def test_half_threshold_mask_has_three_components(self):
         mask = threshold(three_basin_teacher(), 0.5, SUBLEVEL)

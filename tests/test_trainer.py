@@ -186,8 +186,8 @@ class TestRunSimulation:
         trace = run_simulation(student, config, teacher_init_logits=teacher)
         dec = decompose(compute_diagram(expit(student)), 0.4)
         rec = trace.records[0]
-        assert rec.signal_dots == len(dec.signal.dots)
-        assert rec.noise_dots == len(dec.noise.dots)
+        assert rec.signal_dots == len(dec.signal)
+        assert rec.noise_dots == len(dec.noise)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(37)
